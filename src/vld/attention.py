@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
 from .rng import Rng
-from .tensor import Tensor, linear, linear3, matmul, reshape, softmax, swap_axes
+from .tensor import Tensor, attention
 
 
 @dataclass
@@ -45,44 +44,13 @@ class AttentionWeights:
             yield f"{prefix}/{key}", getattr(self, key)
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    *lead, length, dim = x.shape
-    x = reshape(x, (*lead, length, heads, dim // heads))
-    return swap_axes(x, -3, -2)  # [..., heads, length, dim//heads]
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    *lead, heads, length, dh = x.shape
-    x = swap_axes(x, -3, -2)
-    return reshape(x, (*lead, length, heads * dh))
-
-
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights,
                          return_weights: bool = False):
     """Attention of queries over keys/values along the second-to-last axis.
 
     q is [..., Lq, D]; k and v are [..., Lk, D]. Scores use the usual
-    1/sqrt(D/heads) scale and each attention row sums to one.
+    1/sqrt(D/heads) scale and each attention row sums to one. Runs as the
+    single ``vld.tensor.attention`` node.
     """
-    dim = q.shape[-1]
-    if dim % w.heads != 0:
-        raise ConfigError(f"dim {dim} not divisible by {w.heads} heads")
-    scale = 1.0 / math.sqrt(dim // w.heads)
-
-    if q is k and k is v:
-        pq, pk, pv = linear3(q, w.wq, w.bq, w.wk, w.bk, w.wv, w.bv)
-    else:
-        pq = linear(q, w.wq, w.bq)
-        pk = linear(k, w.wk, w.bk)
-        pv = linear(v, w.wv, w.bv)
-    qh = _split_heads(pq, w.heads)
-    kh = _split_heads(pk, w.heads)
-    vh = _split_heads(pv, w.heads)
-
-    scores = matmul(qh, swap_axes(kh, -2, -1)) * scale
-    attn = softmax(scores, axis=-1)
-    mixed = _merge_heads(matmul(attn, vh))
-    out = linear(mixed, w.wo, w.bo)
-    if return_weights:
-        return out, attn
-    return out
+    return attention(q, k, v, (w.wq, w.bq, w.wk, w.bk, w.wv, w.bv, w.wo, w.bo),
+                     w.heads, return_weights=return_weights)

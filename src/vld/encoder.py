@@ -19,8 +19,8 @@ import numpy as np
 from .attention import AttentionWeights, multi_head_attention
 from .errors import ConfigError, DataError
 from .rng import Rng
-from .tensor import (Tensor, as_tensor, broadcast_to, concat, gelu,
-                     layer_norm, linear, reshape, sorted_mean, transpose)
+from .tensor import (Tensor, as_tensor, broadcast_to, concat, layer_norm,
+                     linear, mlp, reshape, sorted_mean, transpose)
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,7 @@ class TransformerBlock:
         h = layer_norm(x, self.ln1_g, self.ln1_b)
         x = x + multi_head_attention(h, h, h, self.attn)
         h = layer_norm(x, self.ln2_g, self.ln2_b)
-        return x + linear(gelu(linear(h, self.mlp_w1, self.mlp_b1)),
-                          self.mlp_w2, self.mlp_b2)
+        return x + mlp(h, self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2)
 
     def named_parameters(self, prefix: str):
         yield f"{prefix}/ln1_g", self.ln1_g

@@ -7,6 +7,15 @@ float32 mode exists behind ``set_default_dtype``.
 
 Gradients accumulate by summation across backward calls and across
 multiple uses of a tensor; callers zero them explicitly between steps.
+
+Numerics contract of the fused nodes (``mlp``, ``attention``): the forward
+runs the same floating-point operations in the same order as the
+composition of single ops it replaces, so it is bit-identical to it, and
+the gradients agree with the composition's within 1e-12 relative error.
+They differ by rounding only: the attention backward sums the projections
+of a shared input in one product, and the GELU derivative recovers tanh
+from the kept 1 + tanh buffer. ``tests/reference.py`` holds the
+composition.
 """
 
 from __future__ import annotations
@@ -190,11 +199,16 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _records(parents) -> bool:
+    """Whether an op on ``parents`` becomes a graph node."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -283,32 +297,6 @@ def tsqrt(a) -> Tensor:
     a = as_tensor(a)
     data = np.sqrt(a.data)
     return _make(data, (a,), lambda g: (g * 0.5 / data,))
-
-
-def gelu(a) -> Tensor:
-    """GELU with the tanh approximation used by standard ViT blocks."""
-    a = as_tensor(a)
-    x = a.data
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + _GELU_K * x2 * x))
-    one_plus_t = 1.0 + t
-    data = 0.5 * x * one_plus_t
-
-    def vjp(g):
-        # In-place chain; this vjp is on the training hot path.
-        local = x2 * (3.0 * _GELU_K)
-        local += 1.0
-        local *= _GELU_C                 # d(inner)/dx
-        tsq = t * t
-        np.subtract(1.0, tsq, out=tsq)   # sech^2
-        local *= tsq
-        local *= x
-        local += one_plus_t
-        local *= 0.5
-        local *= g
-        return (local,)
-
-    return _make(data, (a,), vjp)
 
 
 def softplus(a) -> Tensor:
@@ -470,7 +458,9 @@ def linear(x, w, b) -> Tensor:
     lead = x.data.shape[:-1]
     d, h = w.data.shape
     x2 = np.ascontiguousarray(x.data.reshape(-1, d))
-    data = (x2 @ w.data + b.data).reshape(*lead, h)
+    out = x2 @ w.data
+    out += b.data
+    data = out.reshape(*lead, h)
 
     def vjp(g):
         g2 = g.reshape(-1, h)
@@ -482,57 +472,7 @@ def linear(x, w, b) -> Tensor:
     return _make(data, (x, w, b), vjp)
 
 
-def linear3(x, wq, bq, wk, bk, wv, bv):
-    """Three projections of the same input in one GEMM; returns (q, k, v).
-
-    Semantically identical to three linear() calls; exists because encoder
-    self-attention calls this every block and the fused product is
-    measurably faster at desk sizes.
-    """
-    x = as_tensor(x)
-    parts = [as_tensor(t) for t in (wq, bq, wk, bk, wv, bv)]
-    wq, bq, wk, bk, wv, bv = parts
-    lead = x.data.shape[:-1]
-    d, h = wq.data.shape
-    w_all = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    b_all = np.concatenate([bq.data, bk.data, bv.data])
-    x2 = np.ascontiguousarray(x.data.reshape(-1, d))
-    out = x2 @ w_all + b_all
-
-    parents = (x, wq, bq, wk, bk, wv, bv)
-    outs = []
-    for i in range(3):
-        chunk = out[:, i * h:(i + 1) * h].reshape(*lead, h)
-
-        def vjp(g, i=i):
-            g2 = g.reshape(-1, h)
-            gx = (g2 @ parents[1 + 2 * i].data.T).reshape(x.data.shape)
-            gw = x2.T @ g2
-            gb = g2.sum(axis=0)
-            grads = [gx, None, None, None, None, None, None]
-            grads[1 + 2 * i] = gw
-            grads[2 + 2 * i] = gb
-            return tuple(grads)
-
-        outs.append(_make(np.ascontiguousarray(chunk), parents, vjp))
-    return tuple(outs)
-
-
 # -- fused numeric primitives -------------------------------------------------
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax; slices along ``axis`` sum to one."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - inner),)
-
-    return _make(data, (a,), vjp)
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -561,8 +501,10 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    data = xhat * gain.data + bias.data
+    xhat = centered
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
@@ -577,3 +519,167 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
         return dx, dgain, dbias
 
     return _make(data, (x, gain, bias), vjp)
+
+
+# -- fused layer nodes --------------------------------------------------------
+
+
+def mlp(x, w1, b1, w2, b2) -> Tensor:
+    """linear -> GELU (tanh approximation) -> linear over the last axis.
+
+    One node for the whole MLP. The GELU runs as an in-place chain, and
+    backward keeps only the pre-activation, the 1 + tanh buffer and the
+    activation.
+    """
+    parents = x, w1, b1, w2, b2 = tuple(as_tensor(t)
+                                        for t in (x, w1, b1, w2, b2))
+    d, hidden = w1.data.shape
+    if x.data.shape[-1] != d or w2.data.shape[0] != hidden:
+        raise ShapeError(
+            f"mlp extents differ: {x.data.shape} @ {w1.data.shape} "
+            f"@ {w2.data.shape}"
+        )
+    out_dim = w2.data.shape[1]
+    x2 = np.ascontiguousarray(x.data.reshape(-1, d))
+    pre = x2 @ w1.data
+    pre += b1.data
+    t = pre * pre
+    t *= _GELU_K
+    t *= pre
+    t += pre
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    one_plus_t = t
+    one_plus_t += 1.0
+    # Without a graph the pre-activation is dead here: scale it in place.
+    act = pre * 0.5 if _records(parents) else np.multiply(pre, 0.5, out=pre)
+    act *= one_plus_t
+    out = act @ w2.data
+    out += b2.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, out_dim)
+        gw2 = act.T @ g2 if w2.requires_grad else None
+        gb2 = g2.sum(axis=0) if b2.requires_grad else None
+        # d gelu / d pre, with sech^2 = 1 - tanh^2.
+        local = pre * pre
+        local *= 3.0 * _GELU_K
+        local += 1.0
+        local *= _GELU_C
+        sech2 = one_plus_t - 1.0
+        sech2 *= sech2
+        np.subtract(1.0, sech2, out=sech2)
+        local *= sech2
+        local *= pre
+        local += one_plus_t
+        local *= 0.5
+        local *= g2 @ w2.data.T
+        gx = (local @ w1.data.T).reshape(x.data.shape) if x.requires_grad else None
+        gw1 = x2.T @ local if w1.requires_grad else None
+        gb1 = local.sum(axis=0) if b1.requires_grad else None
+        return gx, gw1, gb1, gw2, gb2
+
+    return _make(out.reshape(*x.data.shape[:-1], out_dim), parents, vjp)
+
+
+def attention(q, k, v, params, heads: int, return_weights: bool = False):
+    """Multi-head scaled dot-product attention as one node.
+
+    q is [..., Lq, D]; k and v are [..., Lk, D]; ``params`` is
+    (wq, bq, wk, bk, wv, bv, wo, bo), each weight D x D. Scores use the
+    1/sqrt(D/heads) scale. Inputs that are the same tensor share one
+    projection product: Q/K/V in one when ``q is k is v``, K/V in one when
+    ``k is v``. Backward keeps the attention probabilities. With
+    ``return_weights`` the probabilities [..., heads, Lq, Lk] come back as
+    a second tensor with no graph.
+    """
+    converted = {}
+    q, k, v = (converted.setdefault(id(t), as_tensor(t)) for t in (q, k, v))
+    if q is k and k is v:
+        groups = [(q, (0, 1, 2))]
+    elif k is v:
+        groups = [(q, (0,)), (k, (1, 2))]
+    else:
+        groups = [(q, (0,)), (k, (1,)), (v, (2,))]
+    params = tuple(as_tensor(p) for p in params)
+    d = q.data.shape[-1]
+    if d % heads != 0:
+        raise ConfigError(f"dim {d} not divisible by {heads} heads")
+    if (k.data.shape[-1] != d or q.data.shape[:-2] != k.data.shape[:-2]
+            or k.data.shape != v.data.shape):
+        raise ShapeError(
+            f"attention extents differ: q {q.data.shape}, k {k.data.shape}, "
+            f"v {v.data.shape}"
+        )
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    # One product per group; each projection's heads are a view into it.
+    head_views = [None, None, None]
+    saved = []
+    for x, idx in groups:
+        x2 = np.ascontiguousarray(x.data.reshape(-1, d))
+        if len(idx) == 1:
+            w, b = params[2 * idx[0]].data, params[2 * idx[0] + 1].data
+        else:
+            w = np.concatenate([params[2 * i].data for i in idx], axis=1)
+            b = np.concatenate([params[2 * i + 1].data for i in idx])
+        proj = x2 @ w
+        proj += b
+        split = proj.reshape(*x.data.shape[:-1], len(idx), heads, dh)
+        for j, i in enumerate(idx):
+            head_views[i] = np.swapaxes(split[..., j, :, :], -3, -2)
+        saved.append((x, idx, x2, w))
+    qh, kh, vh = head_views
+
+    attn = qh @ np.swapaxes(kh, -1, -2)
+    attn *= scale
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    mixed = np.swapaxes(attn @ vh, -3, -2).reshape(-1, d)
+    wo, bo = params[6], params[7]
+    out = mixed @ wo.data
+    out += bo.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, d)
+        gwo = mixed.T @ g2 if wo.requires_grad else None
+        gbo = g2.sum(axis=0) if bo.requires_grad else None
+        g_ctx = np.swapaxes((g2 @ wo.data.T).reshape(
+            *q.data.shape[:-1], heads, dh), -3, -2)
+        g_vh = np.swapaxes(attn, -1, -2) @ g_ctx
+        g_scores = g_ctx @ np.swapaxes(vh, -1, -2)
+        # softmax backward, then the score scale
+        inner = (g_scores * attn).sum(axis=-1, keepdims=True)
+        g_scores -= inner
+        g_scores *= attn
+        g_scores *= scale
+        g_heads = (g_scores @ kh,
+                   np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2),
+                   g_vh)
+
+        input_grads = []
+        param_grads = [None] * 6
+        for x, idx, x2, w in saved:
+            gp = np.empty(x.data.shape[:-1] + (len(idx), heads, dh),
+                          dtype=g_vh.dtype)
+            for j, i in enumerate(idx):
+                gp[..., j, :, :] = np.swapaxes(g_heads[i], -3, -2)
+            gp = gp.reshape(-1, len(idx) * d)
+            input_grads.append(
+                (gp @ w.T).reshape(x.data.shape) if x.requires_grad else None)
+            if any(params[2 * i].requires_grad or params[2 * i + 1].requires_grad
+                   for i in idx):
+                gw = x2.T @ gp
+                gb = gp.sum(axis=0)
+                for j, i in enumerate(idx):
+                    param_grads[2 * i] = gw[:, j * d:(j + 1) * d]
+                    param_grads[2 * i + 1] = gb[j * d:(j + 1) * d]
+        return (*input_grads, *param_grads, gwo, gbo)
+
+    parents = tuple(x for x, _, _, _ in saved) + params
+    out = _make(out.reshape(*q.data.shape[:-1], d), parents, vjp)
+    if return_weights:
+        return out, _make(attn, (), None)
+    return out

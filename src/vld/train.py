@@ -25,7 +25,7 @@ from .prompts import (FrozenTextEncoder, PromptBank, build_prompts,
                       encode_prompts, make_logit_scale, visual_text_loss)
 from .retrieval import evaluate, extract_features, save_report
 from .rng import Rng
-from .tensor import Tensor, set_default_dtype
+from .tensor import Tensor, default_dtype, set_default_dtype
 
 
 def build_model(cfg: RunConfig, rng: Rng) -> VideoModel:
@@ -156,9 +156,21 @@ def _fmt(x: float) -> str:
 
 
 def train(cfg: RunConfig, out_dir, log=None) -> dict:
-    """Run the configured training; returns a summary of losses and metrics."""
+    """Run the configured training; returns a summary of losses and metrics.
+
+    The configured precision is the default dtype for the run only; the
+    caller's default is back in place when this returns or raises.
+    """
+    previous = default_dtype()
     set_default_dtype(np.float32 if cfg["train.precision"] == "single"
                       else np.float64)
+    try:
+        return _run(cfg, out_dir, log)
+    finally:
+        set_default_dtype(previous)
+
+
+def _run(cfg: RunConfig, out_dir, log) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     from .config import write_config

@@ -21,9 +21,9 @@ from vld.losses import cross_entropy_from_logits, weighted_regularized_triplet
 from vld.prompts import FrozenTextEncoder, build_prompts, encode_prompts
 from vld.profiler import cost_report, format_report
 from vld.rng import Rng
-from vld.tensor import (Tensor, broadcast_to, clamp_max, concat, div, gelu,
-                        layer_norm, linear, logsumexp, matmul, reshape,
-                        softmax, softplus, sorted_mean, texp, tlog, transpose,
+from vld.tensor import (Tensor, attention, broadcast_to, clamp_max, concat,
+                        div, layer_norm, linear, logsumexp, matmul, mlp,
+                        reshape, softplus, sorted_mean, texp, tlog, transpose,
                         tsqrt, ttanh)
 from vld.train import train
 
@@ -91,10 +91,6 @@ def test_criterion_3_gradient_suite():
     check("matmul", [("a", a), ("b", b)],
           lambda: (matmul(a, b) * w_ab).sum())
 
-    x = Tensor(rng.normal((7,)), requires_grad=True)
-    w_x = rng.normal((7,))
-    check("softmax", [("x", x)], lambda: (softmax(x) * w_x).sum())
-
     ln_x = Tensor(rng.normal((3, 8)), requires_grad=True)
     ln_g = Tensor(rng.normal((8,), std=0.3) + 1.0, requires_grad=True)
     ln_b = Tensor(rng.normal((8,), std=0.3), requires_grad=True)
@@ -119,22 +115,25 @@ def test_criterion_3_gradient_suite():
     check("linear", [("x", lx), ("w", lw), ("b", lb)],
           lambda: (linear(lx, lw, lb) * w_lin).sum())
 
-    from vld.tensor import linear3
-    tx = Tensor(rng.normal((5, 6)), requires_grad=True)
-    tparams = [("wq", Tensor(rng.normal((6, 4)), requires_grad=True)),
-               ("bq", Tensor(rng.normal((4,)), requires_grad=True)),
-               ("wk", Tensor(rng.normal((6, 4)), requires_grad=True)),
-               ("bk", Tensor(rng.normal((4,)), requires_grad=True)),
-               ("wv", Tensor(rng.normal((6, 4)), requires_grad=True)),
-               ("bv", Tensor(rng.normal((4,)), requires_grad=True))]
-    w3 = [rng.normal((5, 4)) for _ in range(3)]
-    check("linear3", [("x", tx)] + tparams,
-          lambda: sum(((o * w3[i]).sum() for i, o in enumerate(
-              linear3(tx, *[p for _, p in tparams]))), Tensor(0.0)))
+    mx = Tensor(rng.normal((5, 6)), requires_grad=True)
+    mparams = [("w1", Tensor(rng.normal((6, 12)), requires_grad=True)),
+               ("b1", Tensor(rng.normal((12,)), requires_grad=True)),
+               ("w2", Tensor(rng.normal((12, 6)), requires_grad=True)),
+               ("b2", Tensor(rng.normal((6,)), requires_grad=True))]
+    w_mlp = rng.normal((5, 6))
+    check("mlp", [("x", mx)] + mparams,
+          lambda: (mlp(mx, *[p for _, p in mparams]) * w_mlp).sum())
+
+    sx = Tensor(rng.normal((2, 5, 8)), requires_grad=True)
+    self_w = list(AttentionWeights.create(8, 2, Rng(302)).named("w"))
+    w_self = rng.normal((2, 5, 8))
+    check("self_attention", [("x", sx)] + self_w,
+          lambda: (attention(sx, sx, sx, [p for _, p in self_w], 2)
+                   * w_self).sum())
 
     unary = {
         "exp": texp, "log": lambda t: tlog(t * t + 1.0), "tanh": ttanh,
-        "sqrt": lambda t: tsqrt(t * t + 0.5), "gelu": gelu,
+        "sqrt": lambda t: tsqrt(t * t + 0.5),
         "softplus": softplus, "logsumexp": lambda t: logsumexp(t, axis=-1),
         "div": lambda t: div(1.0, t * t + 2.0),
         "clamp_max": lambda t: clamp_max(t, 0.3),

@@ -122,3 +122,23 @@ def test_parameter_names_are_unique():
     enc = make_encoder(DESK)
     names = [name for name, _ in enc.named_parameters()]
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("with_hub", [False, True])
+def test_each_block_calls_attention_by_its_encoder_name(monkeypatch, with_hub):
+    # The benchmark trace times attention by wrapping this exact name; a
+    # block that reached attention another way would read 0 there.
+    import vld.encoder
+    from vld.hub import TemporalHub
+    calls = []
+    real = vld.encoder.multi_head_attention
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vld.encoder, "multi_head_attention", counted)
+    enc = make_encoder(DESK)
+    hub = TemporalHub(4, DESK.dim, 2, DESK.depth, Rng(17)) if with_hub else None
+    enc.encode(Tensor(Rng(18).uniform((2, 4, 32, 16, 3))), hub=hub)
+    assert len(calls) == DESK.depth

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from vld.errors import ConfigError, ContractError, ShapeError
 from vld.gradcheck import check_gradients, max_relative_error, numeric_gradient
 from vld.rng import Rng
-from vld.tensor import (Tensor, broadcast_to, clamp_max, concat, div, gelu,
+from reference import gelu, softmax
+from vld.tensor import (Tensor, broadcast_to, clamp_max, concat, div,
                         layer_norm, logsumexp, matmul, no_grad, reshape,
-                        softmax, softplus, swap_axes, texp, tlog, transpose,
-                        tsqrt, ttanh)
+                        softplus, swap_axes, texp, tlog, transpose, tsqrt,
+                        ttanh)
 
 
 def rand(shape, seed=0, std=1.0):
@@ -63,7 +64,7 @@ def test_matmul_batched_broadcast_gradients():
     assert max(errs.values()) < 1e-6
 
 
-# -- softmax ------------------------------------------------------------------
+# -- softmax (the reference the attention node is checked against) -----------
 
 
 def test_softmax_uniform():
@@ -133,6 +134,13 @@ def test_layer_norm_gradients_match_finite_differences():
     b = Tensor(rand((8,), 10, std=0.5), requires_grad=True)
     weight = rand((3, 8), 11)
 
+    # The in-place forward equals the out-of-place formula bit for bit.
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = centered * (1.0 / np.sqrt(var + 1e-5))
+    np.testing.assert_array_equal(layer_norm(x, g, b).data,
+                                  xhat * g.data + b.data)
+
     def loss():
         return (layer_norm(x, g, b) * weight).sum()
 
@@ -179,6 +187,11 @@ def test_linear_gradients():
     b = Tensor(rand((5,), 29), requires_grad=True)
     weight = rand((3, 4, 5), 30)
 
+    # The in-place bias add equals the out-of-place formula bit for bit.
+    np.testing.assert_array_equal(
+        linear(x, w, b).data,
+        (x.data.reshape(-1, 6) @ w.data + b.data).reshape(3, 4, 5))
+
     def loss():
         return (linear(x, w, b) * weight).sum()
 
@@ -186,29 +199,25 @@ def test_linear_gradients():
     assert max(errs.values()) < 1e-6
 
 
-def test_linear3_matches_three_linears_and_gradients():
-    from vld.tensor import linear, linear3
-    x = Tensor(rand((5, 6), 31), requires_grad=True)
-    params = {name: Tensor(rand((6, 4) if name.startswith("w") else (4,),
-                                32 + i), requires_grad=True)
-              for i, name in enumerate(["wq", "bq", "wk", "bk", "wv", "bv"])}
-    q, k, v = linear3(x, params["wq"], params["bq"], params["wk"],
-                      params["bk"], params["wv"], params["bv"])
-    for out, w_name, b_name in ((q, "wq", "bq"), (k, "wk", "bk"),
-                                (v, "wv", "bv")):
-        direct = linear(Tensor(x.data), params[w_name], params[b_name])
-        np.testing.assert_allclose(out.data, direct.data, atol=1e-14)
-
-    weights = [rand((5, 4), 40 + i) for i in range(3)]
+def test_mlp_and_self_attention_gradients():
+    from vld.attention import AttentionWeights
+    from vld.tensor import attention, mlp
+    x = Tensor(rand((2, 5, 6), 31), requires_grad=True)
+    mlp_params = [(name, Tensor(rand(shape, 32 + i, std=0.5),
+                                requires_grad=True))
+                  for i, (name, shape) in enumerate(
+                      [("w1", (6, 12)), ("b1", (12,)), ("w2", (12, 6)),
+                       ("b2", (6,))])]
+    attn_params = list(AttentionWeights.create(6, 2, Rng(36)).named("attn"))
+    w_mlp, w_attn = rand((2, 5, 6), 40), rand((2, 5, 6), 41)
 
     def loss():
-        q, k, v = linear3(x, params["wq"], params["bq"], params["wk"],
-                          params["bk"], params["wv"], params["bv"])
-        return ((q * weights[0]).sum() + (k * weights[1]).sum()
-                + (v * weights[2]).sum())
+        out_mlp = mlp(x, *[p for _, p in mlp_params])
+        out_attn = attention(x, x, x, [p for _, p in attn_params], 2)
+        return (out_mlp * w_mlp).sum() + (out_attn * w_attn).sum()
 
-    errs = check_gradients(loss, [("x", x)] + list(params.items()))
-    assert max(errs.values()) < 1e-6
+    errs = check_gradients(loss, [("x", x)] + mlp_params + attn_params)
+    assert max(errs.values()) < 1e-6, errs
 
 
 def test_concat_gradients():

@@ -162,11 +162,9 @@ def test_frozen_text_encoder_stays_frozen_through_a_step(tmp_path):
 def test_single_precision_flag(tmp_path):
     cfg = tiny_config(tmp_path / "data", **{"train.precision": "single",
                                             "train.epochs": 1})
-    try:
-        summary = train(cfg, tmp_path / "run32")
-    finally:
-        from vld.tensor import set_default_dtype
-        set_default_dtype(np.float64)
+    summary = train(cfg, tmp_path / "run32")
+    from vld.tensor import default_dtype
+    assert default_dtype() is np.float64
     assert np.isfinite(summary["epoch_losses"]).all()
     from vld import checkpoint
     records = checkpoint.load(tmp_path / "run32" / "final.vldt")
