@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, default_config, load_config, write_config
-from .data import INFRARED, VISIBLE, generate, load_dataset
+from .data import generate, load_dataset
 from .errors import (ConfigError, DataError, DivergenceError, ParseError,
                      VldError)
 from .profiler import cost_report, format_report, report_json
-from .retrieval import evaluate, extract_features, load_cmc_csv, save_report
+from .retrieval import load_cmc_csv, save_report
 from .rng import Rng
 
 EXIT_CODES = {ConfigError: 2, DataError: 3, DivergenceError: 4, ParseError: 5}
@@ -61,7 +61,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .train import TrainingHeads, build_model, load_into
+    from . import checkpoint
+    from .train import TrainingHeads, build_model, evaluate_model, load_into
     cfg = _load(args)
     dataset = load_dataset(args.data or cfg["data.root"])
     rng = Rng(cfg["train.seed"])
@@ -71,25 +72,13 @@ def cmd_eval(args) -> int:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
 
-    test = dataset.test
-    vis = [t for t in test if t.modality == VISIBLE]
-    ir = [t for t in test if t.modality == INFRARED]
-    use_hub = cfg["eval.use_hub_feature"]
-    vis_index = extract_features(model, dataset, vis, use_hub_feature=use_hub)
-    ir_index = extract_features(model, dataset, ir, use_hub_feature=use_hub)
-
-    from . import checkpoint as ckpt
-    feature_records = {}
-    for index in (ir_index, vis_index):
-        for row, tid in zip(index.features, index.tracklet_ids):
-            feature_records[f"feat/{tid}"] = row
-    ckpt.save(out / "features.vldt", feature_records)
-
-    directions = ["ir2vis", "vis2ir"] if args.direction == "both" else [args.direction]
-    for direction in directions:
-        queries, gallery = (ir_index, vis_index) if direction == "ir2vis" \
-            else (vis_index, ir_index)
-        report = evaluate(queries, gallery, direction=direction)
+    reports, vis_index, ir_index = evaluate_model(cfg, model, dataset,
+                                                  args.direction)
+    checkpoint.save(out / "features.vldt", {
+        f"feat/{tid}": row
+        for index in (ir_index, vis_index)
+        for row, tid in zip(index.features, index.tracklet_ids)})
+    for direction, report in reports.items():
         save_report(report, out / f"report_{direction}.json",
                     out / f"cmc_{direction}.csv")
         print(f"{direction}: rank1={report.rank(1):.4f} map={report.mean_ap:.4f}")

@@ -60,6 +60,12 @@ def count_layer_tokens(cfg: EncoderConfig, hub_active: bool, frames: int) -> int
     return cfg.tokens_per_frame + (frames if hub_active else 0)
 
 
+def take_rows(x: Tensor, rows) -> Tensor:
+    """The token-axis (-2) slices ``rows`` of x, concatenated in order."""
+    parts = [x[..., s, :] for s in rows]
+    return parts[0] if len(parts) == 1 else concat(parts, axis=-2)
+
+
 class TransformerBlock:
     """Pre-norm block: x + MHA(LN(x)), then x + MLP(LN(x))."""
 
@@ -80,9 +86,16 @@ class TransformerBlock:
         self.mlp_w2 = param(rng.normal((hidden, dim), std=hidden ** -0.5))
         self.mlp_b2 = param(np.zeros(dim))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, rows=None) -> Tensor:
+        """``rows``, basic slices of the token axis (-2), limits the queries,
+        the residual and the MLP to those rows, concatenated in order; the
+        keys and values stay every row of LN(x)."""
         h = layer_norm(x, self.ln1_g, self.ln1_b)
-        x = x + multi_head_attention(h, h, h, self.attn)
+        if rows is None:
+            x = x + multi_head_attention(h, h, h, self.attn)
+        else:
+            x = take_rows(x, rows) + multi_head_attention(take_rows(h, rows),
+                                                          h, h, self.attn)
         h = layer_norm(x, self.ln2_g, self.ln2_b)
         return x + mlp(h, self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2)
 
@@ -102,7 +115,11 @@ class TransformerBlock:
 class EncodeOutput:
     frame_features: Tensor      # [B, T, D] per-frame CLS after final norm
     sequence: Tensor            # [B, D] temporal average of frame_features
-    hub_block: Tensor | None    # [B, T, T, D] hub rows from the final layer
+    hub_block: Tensor | None
+    """[B, T, T, D] hub rows from the final layer. None when no hub is
+    attached (none given, or the ``insertion_layer = depth`` sentinel) or
+    when ``encode`` was called with ``hub_rows=False``: the last block then
+    computes the [CLS] row alone."""
 
 
 class VisionEncoder:
@@ -168,8 +185,22 @@ class VisionEncoder:
 
     # -- encoding ------------------------------------------------------------
 
-    def encode(self, frames, hub=None) -> EncodeOutput:
-        """Encode tracklets [B, T, H, W, C]; hub, when given, joins mid-stack."""
+    def encode(self, frames, hub=None, hub_rows: bool = True) -> EncodeOutput:
+        """Encode tracklets [B, T, H, W, C]; hub, when given, joins mid-stack.
+
+        Only [CLS] and the hub rows of the final layer are read, so the last
+        block runs its queries, residual and MLP on [CLS] and the hub rows
+        when a hub is attached and ``hub_rows`` is true, and on [CLS] alone
+        otherwise; its keys and values stay every row.
+
+        Numerics contract against the same last block run on every row and
+        then sliced: with the hub rows kept the forward is bit-identical.
+        A single kept row ([CLS] alone here, the last token in the text
+        encoder) takes numpy's matrix-vector path in the attention, so its
+        forward agrees within 1e-12 relative error instead. Gradients agree
+        within 1e-12 relative error, except ``attn/bk``, whose true
+        gradient is zero and whose entries are rounding noise either way.
+        """
         frames = as_tensor(frames)
         if frames.ndim != 5:
             raise DataError(f"expected [B, T, H, W, C] frames, got {frames.shape}")
@@ -177,17 +208,21 @@ class VisionEncoder:
             raise DataError("tracklet has no frames")
         x = self.embed(frames)
         attached = False
+        last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
             if hub is not None and i == hub.insertion_layer:
                 x = hub.attach(x)
                 attached = True
             elif attached and i > hub.insertion_layer:
                 x = hub.flip(x)
-            x = block(x)
-        hub_block = None
-        if attached:
-            n1 = self.cfg.tokens_per_frame
-            hub_block = x[:, :, n1:, :]
+            rows = None
+            if i == last:
+                rows = (slice(0, 1),)      # [CLS]
+                if attached and hub_rows:
+                    rows += (slice(self.cfg.tokens_per_frame, None),)
+            x = block(x, rows)
+        # Rows left: [CLS], then the hub rows when they were kept.
+        hub_block = x[:, :, 1:, :] if attached and hub_rows else None
         cls = layer_norm(x[:, :, 0, :], self.ln_f_g, self.ln_f_b)
         return EncodeOutput(frame_features=cls, sequence=sorted_mean(cls, axis=1),
                             hub_block=hub_block)

@@ -121,9 +121,13 @@ class VideoModel:
                                    rng.split("hub"))
             self.readout = HubReadout(cfg.dim, cfg.heads, rng.split("readout"))
 
-    def forward(self, frames):
-        """Returns (sequence [B,D], hub sequence [B,D] or None, encode output)."""
-        out = self.encoder.encode(frames, hub=self.hub)
+    def forward(self, frames, hub_feature: bool = True):
+        """Returns (sequence [B,D], hub sequence [B,D] or None, encode output).
+
+        With ``hub_feature`` false the final layer's hub rows are not
+        computed and the readout does not run, so the hub sequence is None.
+        """
+        out = self.encoder.encode(frames, hub=self.hub, hub_rows=hub_feature)
         hub_seq = None
         if out.hub_block is not None:
             _, hub_seq = self.readout(out.frame_features, out.hub_block)

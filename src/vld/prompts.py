@@ -110,8 +110,11 @@ class FrozenTextEncoder:
                 f"{self.seq_len}"
             )
         x = bank.sequences() + self.pos
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             x = block(x)
+        # Only the last token is read: the last block computes it alone
+        # (numerics as in ``VisionEncoder.encode`` for a single row).
+        x = self.blocks[-1](x, rows=(slice(-1, None),))
         x = layer_norm(x, self.ln_g, self.ln_b)
         out = matmul(x[:, -1, :], self.proj)
         return unit_normalize(out)
@@ -121,15 +124,6 @@ def unit_normalize(x: Tensor) -> Tensor:
     """Rows scaled to unit L2 norm along the last axis."""
     norm = tsqrt((x * x).sum(axis=-1, keepdims=True) + 1e-24)
     return x / norm
-
-
-def build_prompts(num_identities: int, slots: int, template_id: int, dim: int,
-                  rng: Rng) -> PromptBank:
-    return PromptBank(num_identities, slots, template_id, dim, rng)
-
-
-def encode_prompts(bank: PromptBank, encoder: FrozenTextEncoder) -> Tensor:
-    return encoder.encode(bank)
 
 
 def make_logit_scale() -> Tensor:

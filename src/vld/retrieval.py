@@ -43,14 +43,20 @@ class RetrievalReport:
 def extract_features(model, dataset: Dataset, tracklets: list[Tracklet],
                      use_hub_feature: bool = False,
                      batch_size: int = 16) -> GalleryIndex:
-    """One unit-normalized row per tracklet, in the given order."""
+    """One unit-normalized row per tracklet, in the given order.
+
+    The row is the hub readout's sequence feature when ``use_hub_feature``
+    is true and the model has a hub, and the [CLS] sequence feature
+    otherwise; then the readout does not run at all.
+    """
     feats = []
     with no_grad():
         for start in range(0, len(tracklets), batch_size):
             chunk = tracklets[start:start + batch_size]
             frames = np.stack([dataset.load_frames(t) for t in chunk])
-            seq, hub_seq, _ = model.forward(Tensor(frames))
-            out = hub_seq if (use_hub_feature and hub_seq is not None) else seq
+            seq, hub_seq, _ = model.forward(Tensor(frames),
+                                            hub_feature=use_hub_feature)
+            out = seq if hub_seq is None else hub_seq
             feats.append(out.data)
     features = np.concatenate(feats, axis=0) if feats else np.zeros((0, 1))
     norms = np.linalg.norm(features, axis=1, keepdims=True)

@@ -21,16 +21,26 @@ from .hub import VideoModel
 from .losses import (IdentityHead, LossWeights, identity_cross_entropy,
                      total_loss, weighted_regularized_triplet)
 from .optim import Adam, cosine_lr
-from .prompts import (FrozenTextEncoder, PromptBank, build_prompts,
-                      encode_prompts, make_logit_scale, visual_text_loss)
+from .prompts import (FrozenTextEncoder, PromptBank, make_logit_scale,
+                      visual_text_loss)
 from .retrieval import evaluate, extract_features, save_report
 from .rng import Rng
 from .tensor import Tensor, default_dtype, set_default_dtype
 
 
+def hub_enabled(cfg: RunConfig) -> bool:
+    """Whether the hub, its readout and its identity head are built.
+
+    ``stp.insertion_layer = encoder.depth`` is the documented "hub off"
+    sentinel: such a hub would never join the encoder.
+    """
+    return (cfg["stp.enabled"]
+            and cfg["stp.insertion_layer"] < cfg["encoder.depth"])
+
+
 def build_model(cfg: RunConfig, rng: Rng) -> VideoModel:
     return VideoModel(cfg.encoder_config(), frames=cfg["data.frames"],
-                      rng=rng, use_hub=cfg["stp.enabled"],
+                      rng=rng, use_hub=hub_enabled(cfg),
                       insertion_layer=cfg["stp.insertion_layer"])
 
 
@@ -42,17 +52,16 @@ class TrainingHeads:
         self.id_head_cls = IdentityHead(dim, num_train_identities,
                                         rng.split("head-cls"))
         self.id_head_hub = None
-        if cfg["stp.enabled"]:
+        if hub_enabled(cfg):
             self.id_head_hub = IdentityHead(dim, num_train_identities,
                                             rng.split("head-hub"))
         self.prompts: PromptBank | None = None
         self.text_encoder: FrozenTextEncoder | None = None
         self.logit_scale: Tensor | None = None
         if cfg["imlp.enabled"]:
-            self.prompts = build_prompts(num_train_identities,
-                                         cfg["imlp.tokens"],
-                                         cfg["imlp.template"], dim,
-                                         rng.split("prompts"))
+            self.prompts = PromptBank(num_train_identities, cfg["imlp.tokens"],
+                                      cfg["imlp.template"], dim,
+                                      rng.split("prompts"))
             self.text_encoder = FrozenTextEncoder(dim, dim, self.prompts.length,
                                                   cfg["imlp.text_seed"])
             self.logit_scale = make_logit_scale()
@@ -124,7 +133,7 @@ def compute_losses(cfg: RunConfig, model: VideoModel, heads: TrainingHeads,
         "wrt_hub": None,
     }
     if heads.prompts is not None:
-        prototypes = encode_prompts(heads.prompts, heads.text_encoder)
+        prototypes = heads.text_encoder.encode(heads.prompts)
         parts["v2t"] = visual_text_loss(seq, labels, prototypes,
                                         heads.logit_scale)
     if hub_seq is not None and heads.id_head_hub is not None:
@@ -136,7 +145,11 @@ def compute_losses(cfg: RunConfig, model: VideoModel, heads: TrainingHeads,
 
 def evaluate_model(cfg: RunConfig, model: VideoModel, dataset: Dataset,
                    direction: str):
-    """RetrievalReport(s) on the test split for one or both directions."""
+    """RetrievalReport(s) on the test split for one or both directions.
+
+    Returns ``(reports, vis_index, ir_index)``: the reports keyed by
+    direction, then the visible and infrared feature indexes they rank.
+    """
     test = dataset.test
     vis = [t for t in test if t.modality == VISIBLE]
     ir = [t for t in test if t.modality == INFRARED]
@@ -148,7 +161,7 @@ def evaluate_model(cfg: RunConfig, model: VideoModel, dataset: Dataset,
         reports["ir2vis"] = evaluate(ir_index, vis_index, direction="ir2vis")
     if direction in ("vis2ir", "both"):
         reports["vis2ir"] = evaluate(vis_index, ir_index, direction="vis2ir")
-    return reports
+    return reports, vis_index, ir_index
 
 
 def _fmt(x: float) -> str:
@@ -236,7 +249,7 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
                 step += 1
             epoch_losses.append(epoch_total / steps_per_epoch)
 
-            reports = evaluate_model(cfg, model, dataset, direction)
+            reports, _, _ = evaluate_model(cfg, model, dataset, direction)
             epoch_map = float(np.mean([r.mean_ap for r in reports.values()]))
             for name, report in reports.items():
                 emit(f"eval epoch={epoch} direction={name} "
@@ -252,7 +265,7 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
         raise
 
     checkpoint.save(out / "final.vldt", checkpoint_records(model, heads))
-    reports = evaluate_model(cfg, model, dataset, direction)
+    reports, _, _ = evaluate_model(cfg, model, dataset, direction)
     for name, report in reports.items():
         save_report(report, out / f"report_{name}.json", out / f"cmc_{name}.csv")
     metrics_path.write_text("\n".join(lines) + "\n")

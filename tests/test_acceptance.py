@@ -18,7 +18,7 @@ from vld.encoder import EncoderConfig, VisionEncoder
 from vld.gradcheck import check_gradients
 from vld.hub import TemporalHub
 from vld.losses import cross_entropy_from_logits, weighted_regularized_triplet
-from vld.prompts import FrozenTextEncoder, build_prompts, encode_prompts
+from vld.prompts import FrozenTextEncoder, PromptBank
 from vld.profiler import cost_report, format_report
 from vld.rng import Rng
 from vld.tensor import (Tensor, attention, broadcast_to, clamp_max, concat,
@@ -303,9 +303,9 @@ def test_criterion_6_mechanism_invariants():
     assert cross_grad(hub) > 0.0
 
     # (d) frozen text encoder receives zero gradient.
-    bank = build_prompts(3, 2, 4, 8, rng.split("prompts"))
+    bank = PromptBank(3, 2, 4, 8, rng.split("prompts"))
     text_enc = FrozenTextEncoder(8, 8, bank.length, seed=17)
-    protos = encode_prompts(bank, text_enc)
+    protos = text_enc.encode(bank)
     (protos * Tensor(Rng(603).normal(protos.shape))).sum().backward()
     frozen = [p for blk in text_enc.blocks for _, p in blk.named_parameters("")]
     frozen += [text_enc.proj, text_enc.pos, text_enc.ln_g, text_enc.ln_b]

@@ -142,3 +142,28 @@ def test_each_block_calls_attention_by_its_encoder_name(monkeypatch, with_hub):
     hub = TemporalHub(4, DESK.dim, 2, DESK.depth, Rng(17)) if with_hub else None
     enc.encode(Tensor(Rng(18).uniform((2, 4, 32, 16, 3))), hub=hub)
     assert len(calls) == DESK.depth
+
+
+@pytest.mark.parametrize("hub_rows", [True, False])
+def test_encode_gradients_through_pruned_last_block(hub_rows):
+    # Criterion 3's finite-difference bound, through the last block run on
+    # [CLS] and the hub rows, or on [CLS] alone.
+    from vld.gradcheck import check_gradients
+    from vld.hub import TemporalHub
+    enc = make_encoder()
+    hub = TemporalHub(2, TINY.dim, 0, TINY.depth, Rng(19))
+    frames = Tensor(Rng(20).uniform((2, 2, 8, 8, 3)))
+    w_cls = Rng(21).normal((2, 2, 8))
+    w_hub = Rng(22).normal((2, 2, 2, 8))
+
+    def loss():
+        out = enc.encode(frames, hub=hub, hub_rows=hub_rows)
+        total = (out.frame_features * Tensor(w_cls)).sum()
+        if hub_rows:
+            total = total + (out.hub_block * Tensor(w_hub)).sum()
+        return total
+
+    params = [("hub", hub.h), ("cls", enc.cls), ("pos", enc.pos)]
+    params += list(enc.blocks[-1].named_parameters("last"))
+    errs = check_gradients(loss, params)
+    assert max(errs.values()) < 1e-4, errs

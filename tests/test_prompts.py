@@ -7,15 +7,14 @@ import pytest
 
 from vld.errors import ConfigError, DataError
 from vld.gradcheck import check_gradients
-from vld.prompts import (FrozenTextEncoder, build_prompts, encode_prompts,
-                         make_logit_scale, unit_normalize, visual_text_loss,
-                         LOGIT_SCALE_INIT)
+from vld.prompts import (FrozenTextEncoder, PromptBank, make_logit_scale,
+                         unit_normalize, visual_text_loss, LOGIT_SCALE_INIT)
 from vld.rng import Rng
 from vld.tensor import Tensor
 
 
 def make_pair(num_ids=4, slots=4, dim=16, template=4, text_seed=101, seed=5):
-    bank = build_prompts(num_ids, slots, template, dim, Rng(seed).split("prompts"))
+    bank = PromptBank(num_ids, slots, template, dim, Rng(seed).split("prompts"))
     enc = FrozenTextEncoder(dim, dim, bank.length, text_seed)
     return bank, enc
 
@@ -23,22 +22,22 @@ def make_pair(num_ids=4, slots=4, dim=16, template=4, text_seed=101, seed=5):
 def test_bank_shapes_default_and_minimal():
     bank, _ = make_pair(num_ids=20, slots=4, dim=16)
     assert bank.tokens.shape == (20, 4, 16)
-    minimal = build_prompts(2, 1, 1, 8, Rng(1))
+    minimal = PromptBank(2, 1, 1, 8, Rng(1))
     assert minimal.tokens.shape == (2, 1, 8)
 
 
 def test_bank_preconditions():
     with pytest.raises(ConfigError):
-        build_prompts(1, 4, 4, 8, Rng(0))
+        PromptBank(1, 4, 4, 8, Rng(0))
     with pytest.raises(ConfigError):
-        build_prompts(4, 0, 4, 8, Rng(0))
+        PromptBank(4, 0, 4, 8, Rng(0))
     with pytest.raises(ConfigError):
-        build_prompts(4, 4, 99, 8, Rng(0))
+        PromptBank(4, 4, 99, 8, Rng(0))
 
 
 def test_template_embeddings_are_shared_frozen_storage():
-    a = build_prompts(3, 4, 4, 8, Rng(1))
-    b = build_prompts(3, 4, 4, 8, Rng(2))
+    a = PromptBank(3, 4, 4, 8, Rng(1))
+    b = PromptBank(3, 4, 4, 8, Rng(2))
     np.testing.assert_array_equal(a.prefix.data, b.prefix.data)
     np.testing.assert_array_equal(a.suffix.data, b.suffix.data)
     assert not a.prefix.requires_grad and not a.suffix.requires_grad
@@ -46,30 +45,30 @@ def test_template_embeddings_are_shared_frozen_storage():
 
 
 def test_templates_differ_by_id():
-    a = build_prompts(3, 4, 1, 8, Rng(1))
-    b = build_prompts(3, 4, 2, 8, Rng(1))
+    a = PromptBank(3, 4, 1, 8, Rng(1))
+    b = PromptBank(3, 4, 2, 8, Rng(1))
     assert a.length != b.length or (a.suffix.data != b.suffix.data).any()
 
 
 def test_identical_slots_give_identical_prototypes():
     bank, enc = make_pair()
     bank.tokens.data[1] = bank.tokens.data[0]
-    protos = encode_prompts(bank, enc).data
+    protos = enc.encode(bank).data
     np.testing.assert_array_equal(protos[0], protos[1])
 
 
 def test_prototypes_unit_norm_and_reproducible():
     bank, enc = make_pair()
-    protos = encode_prompts(bank, enc)
+    protos = enc.encode(bank)
     np.testing.assert_allclose(np.linalg.norm(protos.data, axis=1), 1.0,
                                atol=1e-9)
-    again = encode_prompts(bank, enc)
+    again = enc.encode(bank)
     np.testing.assert_array_equal(protos.data, again.data)
 
 
 def test_frozen_encoder_receives_zero_gradient():
     bank, enc = make_pair()
-    protos = encode_prompts(bank, enc)
+    protos = enc.encode(bank)
     (protos * Tensor(Rng(6).normal(protos.shape))).sum().backward()
     assert bank.tokens.grad is not None and np.abs(bank.tokens.grad).max() > 0
     for block in enc.blocks:
@@ -80,7 +79,7 @@ def test_frozen_encoder_receives_zero_gradient():
 
 def test_cross_identity_slot_gradient_is_zero():
     bank, enc = make_pair()
-    protos = encode_prompts(bank, enc)
+    protos = enc.encode(bank)
     (protos[1] * Tensor(Rng(7).normal((16,)))).sum().backward()
     assert np.abs(bank.tokens.grad[1]).max() > 0
     assert np.abs(bank.tokens.grad[0]).max() == 0.0
@@ -137,7 +136,7 @@ def test_v2t_gradients_match_finite_differences():
     labels = [0, 1, 2, 1]
 
     def loss():
-        protos = encode_prompts(bank, enc)
+        protos = enc.encode(bank)
         return visual_text_loss(features, labels, protos, scale)
 
     errs = check_gradients(loss, [("features", features),

@@ -164,14 +164,7 @@ def test_malformed_csv_reports_line_number(tmp_path):
         load_cmc_csv(path)
 
 
-def test_extract_features_contract(tmp_path):
-    from vld.config import parse_config
-    from vld.data import generate
-    from vld.retrieval import extract_features
-    from vld.rng import Rng
-    from vld.train import build_model
-
-    cfg = parse_config("""
+EXTRACT_CFG = """
 data.train_identities = 3
 data.test_identities = 2
 data.tracklets_per_identity = 1
@@ -183,9 +176,24 @@ encoder.dim = 16
 encoder.depth = 2
 encoder.heads = 2
 stp.insertion_layer = 0
-""")
-    dataset = generate(cfg.synthetic_spec(), 1, tmp_path / "d")
-    model = build_model(cfg, Rng(1).split("init"))
+"""
+
+
+def extract_problem(root):
+    """(dataset, model with a hub) at the smallest extraction size."""
+    from vld.config import parse_config
+    from vld.data import generate
+    from vld.train import build_model
+
+    cfg = parse_config(EXTRACT_CFG)
+    dataset = generate(cfg.synthetic_spec(), 1, root)
+    return dataset, build_model(cfg, Rng(1).split("init"))
+
+
+def test_extract_features_contract(tmp_path):
+    from vld.retrieval import extract_features
+
+    dataset, model = extract_problem(tmp_path / "d")
     picks = dataset.tracklets[:6]
     index = extract_features(model, dataset, picks)
     assert index.features.shape == (6, 16)
@@ -201,3 +209,33 @@ stp.insertion_layer = 0
         base_row = picks.index(tr)
         np.testing.assert_array_equal(permuted.features[row],
                                       index.features[base_row])
+
+
+def test_readout_runs_only_for_the_hub_feature(tmp_path, monkeypatch):
+    from vld.hub import HubReadout
+    from vld.retrieval import extract_features
+    from vld.tensor import Tensor
+
+    dataset, model = extract_problem(tmp_path / "d")
+    calls = []
+    real = HubReadout.__call__
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(HubReadout, "__call__", counted)
+    picks = dataset.tracklets[:6]
+    extract_features(model, dataset, picks, batch_size=4)
+    assert calls == []
+    index = extract_features(model, dataset, picks, use_hub_feature=True,
+                             batch_size=4)
+    assert len(calls) == 2
+    hub_seqs = []
+    for start in (0, 4):
+        frames = np.stack([dataset.load_frames(t)
+                           for t in picks[start:start + 4]])
+        hub_seqs.append(model.forward(Tensor(frames))[1].data)
+    expected = np.concatenate(hub_seqs)
+    expected /= np.linalg.norm(expected, axis=1, keepdims=True)
+    np.testing.assert_array_equal(index.features, expected)
