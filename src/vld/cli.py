@@ -62,18 +62,20 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import checkpoint
-    from .train import TrainingHeads, build_model, evaluate_model, load_into
+    from .train import (TrainingHeads, build_model, configured_precision,
+                        evaluate_model, load_into)
     cfg = _load(args)
     dataset = load_dataset(args.data or cfg["data.root"])
-    rng = Rng(cfg["train.seed"])
-    model = build_model(cfg, rng.split("init"))
-    heads = TrainingHeads(cfg, dataset.num_train_identities, rng.split("init"))
-    load_into(model, heads, args.checkpoint)
+    with configured_precision(cfg):
+        rng = Rng(cfg["train.seed"])
+        model = build_model(cfg, rng.split("init"))
+        heads = TrainingHeads(cfg, dataset.num_train_identities,
+                              rng.split("init"))
+        load_into(model, heads, args.checkpoint)
+        reports, vis_index, ir_index = evaluate_model(cfg, model, dataset,
+                                                      args.direction)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-
-    reports, vis_index, ir_index = evaluate_model(cfg, model, dataset,
-                                                  args.direction)
     checkpoint.save(out / "features.vldt", {
         f"feat/{tid}": row
         for index in (ir_index, vis_index)

@@ -57,7 +57,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "train.batch_identities": ("int", 4),
     "train.batch_tracklets": ("int", 2),
     "train.seed": ("int", 1),
-    "train.precision": ("str", "double"),
+    "train.precision": ("str", "single"),
     "train.eval_direction": ("str", "both"),
     "eval.use_hub_feature": ("bool", False),
 }

@@ -24,6 +24,7 @@ import numpy as np
 from . import checkpoint
 from .errors import ConfigError, DataError
 from .rng import Rng
+from .tensor import default_dtype
 
 VISIBLE = "visible"
 INFRARED = "infrared"
@@ -72,7 +73,7 @@ class Dataset:
     num_train_identities: int
 
     def __post_init__(self):
-        self._cache: dict[int, np.ndarray] = {}
+        self._cache: dict[tuple, np.ndarray] = {}
 
     @property
     def train(self) -> list[Tracklet]:
@@ -83,12 +84,14 @@ class Dataset:
         return [t for t in self.tracklets if t.identity >= self.num_train_identities]
 
     def load_frames(self, tracklet: Tracklet) -> np.ndarray:
-        """[T, H, W, 3] float64 in [0, 1]; cached after first read."""
-        cached = self._cache.get(tracklet.tracklet_id)
+        """[T, H, W, 3] in [0, 1] in the default dtype; cached after first
+        read. In float32 every value equals the float64 value rounded."""
+        dtype = default_dtype()
+        cached = self._cache.get((tracklet.tracklet_id, dtype))
         if cached is None:
             records = checkpoint.load(self.root / tracklet.path)
-            cached = records["frames"].astype(np.float64) / 255.0
-            self._cache[tracklet.tracklet_id] = cached
+            cached = records["frames"].astype(dtype) / 255.0
+            self._cache[tracklet.tracklet_id, dtype] = cached
         return cached.copy()
 
 
@@ -243,21 +246,6 @@ def channel_swap(frame: np.ndarray, perm) -> np.ndarray:
     return frame[:, :, list(perm)].copy()
 
 
-def augment(frame: np.ndarray, rng: Rng, visible: bool, pad: int = 10) -> np.ndarray:
-    """Flip, pad+random-crop, and (visible only) channel erase/swap."""
-    if rng.uniform() < 0.5:
-        frame = hflip(frame)
-    oy = rng.randint(2 * pad + 1)
-    ox = rng.randint(2 * pad + 1)
-    frame = pad_crop(frame, oy, ox, pad=pad)
-    if visible:
-        if rng.uniform() < 0.5:
-            frame = channel_erase(frame, rng.randint(3))
-        if rng.uniform() < 0.5:
-            frame = channel_swap(frame, rng.permutation(3))
-    return frame
-
-
 # -- batch sampling -----------------------------------------------------------
 
 
@@ -273,7 +261,7 @@ class BatchPlan:
 
 @dataclass
 class SequenceBatch:
-    frames: np.ndarray        # [n, T, H, W, 3] float64
+    frames: np.ndarray        # [n, T, H, W, 3] in the default dtype
     labels: np.ndarray        # [n] identity indices
     modalities: np.ndarray    # [n] strings
     cameras: np.ndarray       # [n]

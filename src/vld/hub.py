@@ -44,12 +44,6 @@ class TemporalHub:
     def active(self) -> bool:
         return self.insertion_layer < self.depth
 
-    def orientation_for_layer(self, layer: int) -> str:
-        """'H' or 'HT' for a hub-active layer; flips once per layer."""
-        if not self.active or layer < self.insertion_layer:
-            raise ConfigError(f"hub not attached at layer {layer}")
-        return "H" if (layer - self.insertion_layer) % 2 == 0 else "HT"
-
     def attach(self, x: Tensor) -> Tensor:
         """Concatenate hub rows after the N+1 frame tokens: frame t gets h[t]."""
         b, t = x.shape[0], x.shape[1]

@@ -85,8 +85,8 @@ def weighted_regularized_triplet(features: Tensor, labels) -> Tensor:
             raise ContractError(f"anchor {i} has no negative in batch")
 
     d = pairwise_distances(features)
-    pos = Tensor(pos_mask.astype(np.float64))
-    neg = Tensor(neg_mask.astype(np.float64))
+    pos = Tensor(pos_mask)
+    neg = Tensor(neg_mask)
 
     # Detached row maxima; softmax is shift-invariant so this is exact.
     pos_shift = np.where(pos_mask, d.data, -np.inf).max(axis=1, keepdims=True)

@@ -21,7 +21,7 @@ from .tensor import Tensor, no_grad
 
 @dataclass
 class GalleryIndex:
-    features: np.ndarray       # [G, D], rows unit-norm
+    features: np.ndarray       # [G, D] float64, rows unit-norm
     identities: np.ndarray     # [G]
     modalities: np.ndarray     # [G]
     tracklet_ids: np.ndarray   # [G]
@@ -47,7 +47,10 @@ def extract_features(model, dataset: Dataset, tracklets: list[Tracklet],
 
     The row is the hub readout's sequence feature when ``use_hub_feature``
     is true and the model has a hub, and the [CLS] sequence feature
-    otherwise; then the readout does not run at all.
+    otherwise; then the readout does not run at all. Rows are cast to
+    float64 before they are normalised, whatever the model's precision:
+    in float32 a matrix product and per-query products round similarities
+    differently, and near-ties swap places.
     """
     feats = []
     with no_grad():
@@ -58,7 +61,8 @@ def extract_features(model, dataset: Dataset, tracklets: list[Tracklet],
                                             hub_feature=use_hub_feature)
             out = seq if hub_seq is None else hub_seq
             feats.append(out.data)
-    features = np.concatenate(feats, axis=0) if feats else np.zeros((0, 1))
+    features = (np.concatenate(feats, axis=0, dtype=np.float64) if feats
+                else np.zeros((0, 1)))
     norms = np.linalg.norm(features, axis=1, keepdims=True)
     features = features / np.maximum(norms, 1e-12)
     return GalleryIndex(

@@ -2,8 +2,13 @@
 
 numpy supplies the raw array arithmetic; this module adds graph recording
 and the vector-Jacobian products for every primitive the model needs.
-Double precision is the default so gradient checks have headroom; a
-float32 mode exists behind ``set_default_dtype``.
+Tensors take the process default dtype, float64 unless
+``set_default_dtype`` says otherwise, so gradient checks and tensors
+built directly have double-precision headroom. Training and evaluation
+run in float32 by default: ``vld.train.configured_precision`` makes the
+run's ``train.precision`` (``single`` unless a config says ``double``)
+the default for the run only. Retrieval ranks in float64 whatever the
+model's precision.
 
 Gradients accumulate by summation across backward calls and across
 multiple uses of a tensor; callers zero them explicitly between steps.

@@ -8,6 +8,7 @@ than wall-clock time so identical seeds reproduce identical logs.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -168,19 +169,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def train(cfg: RunConfig, out_dir, log=None) -> dict:
-    """Run the configured training; returns a summary of losses and metrics.
-
-    The configured precision is the default dtype for the run only; the
-    caller's default is back in place when this returns or raises.
-    """
+@contextmanager
+def configured_precision(cfg: RunConfig):
+    """Make ``train.precision`` the default dtype inside the block; the
+    caller's default is back in place when the block exits or raises."""
     previous = default_dtype()
     set_default_dtype(np.float32 if cfg["train.precision"] == "single"
                       else np.float64)
     try:
-        return _run(cfg, out_dir, log)
+        yield
     finally:
         set_default_dtype(previous)
+
+
+def train(cfg: RunConfig, out_dir, log=None) -> dict:
+    """Run the configured training, in the configured precision; returns a
+    summary of losses and metrics."""
+    with configured_precision(cfg):
+        return _run(cfg, out_dir, log)
 
 
 def _run(cfg: RunConfig, out_dir, log) -> dict:

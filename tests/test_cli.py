@@ -73,6 +73,41 @@ def test_eval_same_checkpoint_twice_identical(tiny_cfg, tmp_path):
         (b / "cmc_ir2vis.csv").read_bytes()
 
 
+def test_eval_runs_in_the_configured_precision(tiny_cfg, tmp_path):
+    """vld eval extracts in train.precision: its features are those of
+    evaluate_model in that precision, and its reports the run's own."""
+    from vld import checkpoint
+    from vld.config import load_config
+    from vld.data import load_dataset
+    from vld.rng import Rng
+    from vld.train import (build_model, configured_precision, evaluate_model,
+                           load_into)
+
+    tiny_cfg.write_text(tiny_cfg.read_text() + "train.precision = single\n")
+    main(["gen-data", "--config", str(tiny_cfg)])
+    run, out = tmp_path / "run", tmp_path / "eval"
+    assert main(["train", "--config", str(tiny_cfg), "--out", str(run)]) == 0
+    assert main(["eval", "--config", str(tiny_cfg),
+                 "--checkpoint", str(run / "final.vldt"),
+                 "--direction", "both", "--out", str(out)]) == 0
+
+    cfg = load_config(tiny_cfg)
+    with configured_precision(cfg):
+        model = build_model(cfg, Rng(cfg["train.seed"]).split("init"))
+        load_into(model, None, run / "final.vldt")
+        _, vis_index, ir_index = evaluate_model(
+            cfg, model, load_dataset(cfg["data.root"]), "both")
+    assert model.encoder.patch_w.data.dtype == np.float32
+    feats = checkpoint.load(out / "features.vldt")
+    for index in (vis_index, ir_index):
+        for row, tid in zip(index.features, index.tracklet_ids):
+            assert feats[f"feat/{tid}"].dtype == np.float64
+            np.testing.assert_array_equal(feats[f"feat/{tid}"], row)
+    for direction in ("ir2vis", "vis2ir"):
+        name = f"report_{direction}.json"
+        assert (out / name).read_bytes() == (run / name).read_bytes()
+
+
 def test_smoke_training_reduces_loss(tiny_cfg, tmp_path):
     out = tmp_path / "smoke"
     assert main(["train", "--config", str(tiny_cfg), "--out", str(out)]) == 0

@@ -4,11 +4,14 @@ and the identity-balanced cross-modality sampler."""
 import numpy as np
 import pytest
 
-from vld.data import (BatchPlan, SyntheticSpec, augment, augment_clip,
+from vld import checkpoint
+from vld.config import parse_config
+from vld.data import (BatchPlan, Dataset, SyntheticSpec, Tracklet, augment_clip,
                       channel_erase, channel_swap, generate, hflip,
                       load_dataset, pad_crop, sample_batch, INFRARED, VISIBLE)
 from vld.errors import ConfigError, DataError
 from vld.rng import Rng
+from vld.train import configured_precision
 
 SMALL = SyntheticSpec(num_train_identities=4, num_test_identities=2,
                       tracklets_per_identity=2, frames=3, image_h=16,
@@ -112,6 +115,22 @@ def test_cross_modal_correlation_floor(tmp_path):
     assert same.mean() > diff.mean() + 0.01
 
 
+def test_single_precision_frames_equal_rounded_double_frames(tmp_path):
+    """Each of the 256 pixel values loads in float32 as its float64 value
+    rounded to float32, so the model input does not depend on the path."""
+    values = np.arange(256, dtype=np.uint8).reshape(1, 16, 16, 1)
+    checkpoint.save(tmp_path / "all.vldt",
+                    {"frames": np.repeat(values, 3, axis=3)})
+    tracklet = Tracklet(0, 0, VISIBLE, 0, 1, "all.vldt")
+    ds = Dataset(tmp_path, [tracklet], 1)
+    double = ds.load_frames(tracklet)
+    with configured_precision(parse_config("train.precision = single")):
+        single = ds.load_frames(tracklet)
+    assert double.dtype == np.float64 and single.dtype == np.float32
+    np.testing.assert_array_equal(single, double.astype(np.float32))
+    assert ds.load_frames(tracklet).dtype == np.float64
+
+
 # -- augmentation ---------------------------------------------------------------
 
 
@@ -145,9 +164,9 @@ def test_channel_erase_zeroes_one_channel():
 
 
 def test_augment_is_deterministic_given_stream():
-    frame = Rng(8).uniform((16, 8, 3))
-    a = augment(frame, Rng(9), visible=True)
-    b = augment(frame, Rng(9), visible=True)
+    clip = Rng(8).uniform((3, 16, 8, 3))
+    a = augment_clip(clip, Rng(9), visible=True)
+    b = augment_clip(clip, Rng(9), visible=True)
     np.testing.assert_array_equal(a, b)
 
 

@@ -90,8 +90,22 @@ def test_transpose_index_bookkeeping_t2():
 
 
 def test_orientation_schedule_paper_config():
+    """Attached at layer 9 of 12 and flipped before each later layer, as
+    the encoder does: frame t holds h[t] at layers 9 and 11, h[:, t] at 10."""
     hub = TemporalHub(6, 8, 9, 12, Rng(8))
-    assert [hub.orientation_for_layer(i) for i in (9, 10, 11)] == ["H", "HT", "H"]
+    x = hub.attach(Tensor(np.zeros((1, 6, 3, 8))))
+    seen = []
+    for layer in range(hub.insertion_layer, hub.depth):
+        if layer > hub.insertion_layer:
+            x = hub.flip(x)
+        rows = x.data[0, :, 3:, :]
+        if np.array_equal(rows, hub.h.data):
+            seen.append("H")
+        elif np.array_equal(rows, hub.h.data.transpose(1, 0, 2)):
+            seen.append("HT")
+        else:
+            seen.append("?")
+    assert seen == ["H", "HT", "H"]
 
 
 def test_sentinel_insertion_is_bit_identical_to_baseline():

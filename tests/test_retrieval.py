@@ -239,3 +239,50 @@ def test_readout_runs_only_for_the_hub_feature(tmp_path, monkeypatch):
     expected = np.concatenate(hub_seqs)
     expected /= np.linalg.norm(expected, axis=1, keepdims=True)
     np.testing.assert_array_equal(index.features, expected)
+
+
+# The desk model and data on small frames, with a 300-tracklet gallery per
+# modality: untrained features are close, so float32 similarities near-tie.
+RANK_CFG = """
+data.train_identities = 2
+data.test_identities = 100
+data.tracklets_per_identity = 3
+data.frames = 2
+data.image_h = 8
+data.image_w = 8
+data.pattern_amp = 0.3
+data.stripe_amp = 0.25
+data.occlusion = 0.15
+encoder.patch = 4
+stp.insertion_layer = 2
+train.precision = single
+"""
+
+
+def test_float32_model_ranks_in_float64(tmp_path):
+    """A float32 model's rows are cast to float64 before they are
+    normalised, so ranking equals the brute-force oracle exactly; ranked in
+    float32, matrix and per-query products round near-ties apart."""
+    from vld.config import parse_config
+    from vld.data import INFRARED, VISIBLE, generate
+    from vld.retrieval import extract_features
+    from vld.train import build_model, configured_precision
+
+    cfg = parse_config(RANK_CFG)
+    dataset = generate(cfg.synthetic_spec(), 1, tmp_path / "d")
+    with configured_precision(cfg):
+        model = build_model(cfg, Rng(1).split("init"))
+        indexes = [extract_features(model, dataset,
+                                    [t for t in dataset.test
+                                     if t.modality == modality])
+                   for modality in (VISIBLE, INFRARED)]
+    assert model.encoder.patch_w.data.dtype == np.float32
+    for index in indexes:
+        assert index.features.dtype == np.float64
+        np.testing.assert_allclose(np.linalg.norm(index.features, axis=1),
+                                   1.0, atol=1e-12)
+    for queries, gallery in (indexes[::-1], indexes):
+        report = evaluate(queries, gallery)
+        cmc, mean_ap = brute_force_eval(queries, gallery)
+        np.testing.assert_array_equal(report.cmc, cmc)
+        assert report.mean_ap == mean_ap

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vld import checkpoint
+from vld import checkpoint, tensor
 from vld.config import default_config, parse_config
 from vld.data import generate
 from vld.errors import ConfigError
@@ -51,16 +51,33 @@ def test_train_produces_run_artifacts(tmp_path):
     assert "loss_total=" in text and "eval epoch=" in text
 
 
-def test_two_runs_same_seed_bit_identical(tmp_path):
-    cfg_a = tiny_config(tmp_path / "data")
-    cfg_b = tiny_config(tmp_path / "data")
-    train(cfg_a, tmp_path / "run_a")
-    train(cfg_b, tmp_path / "run_b")
+PRECISIONS = {"double": np.float64, "single": np.float32}
+
+
+def train_from_other_default(cfg, out, monkeypatch):
+    """``train`` called from a caller whose default dtype is the other
+    precision; checks that the caller's default is back afterwards."""
+    other = (np.float64 if PRECISIONS[cfg["train.precision"]] is np.float32
+             else np.float32)
+    monkeypatch.setattr(tensor, "_DEFAULT_DTYPE", other)
+    summary = train(cfg, out)
+    assert tensor.default_dtype() is other
+    return summary
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_two_runs_same_seed_bit_identical(tmp_path, monkeypatch, precision):
+    cfg_a = tiny_config(tmp_path / "data", **{"train.precision": precision})
+    cfg_b = tiny_config(tmp_path / "data", **{"train.precision": precision})
+    train_from_other_default(cfg_a, tmp_path / "run_a", monkeypatch)
+    train_from_other_default(cfg_b, tmp_path / "run_b", monkeypatch)
     for name in ("final.vldt", "metrics.log", "report_ir2vis.json",
                  "cmc_ir2vis.csv", "resolved.cfg"):
         a = (tmp_path / "run_a" / name).read_bytes()
         b = (tmp_path / "run_b" / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+    records = checkpoint.load(tmp_path / "run_a" / "final.vldt")
+    assert all(r.dtype == PRECISIONS[precision] for r in records.values())
 
 
 def test_hub_off_sentinel_trains_as_hub_disabled(tmp_path):
@@ -172,16 +189,15 @@ def test_frozen_text_encoder_stays_frozen_through_a_step(tmp_path):
     assert (model.encoder.patch_w.data != encoder_before).any()
 
 
-def test_single_precision_flag(tmp_path):
-    cfg = tiny_config(tmp_path / "data", **{"train.precision": "single",
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_single_precision_flag(tmp_path, monkeypatch, precision):
+    cfg = tiny_config(tmp_path / "data", **{"train.precision": precision,
                                             "train.epochs": 1})
-    summary = train(cfg, tmp_path / "run32")
-    from vld.tensor import default_dtype
-    assert default_dtype() is np.float64
+    summary = train_from_other_default(cfg, tmp_path / "run", monkeypatch)
     assert np.isfinite(summary["epoch_losses"]).all()
-    from vld import checkpoint
-    records = checkpoint.load(tmp_path / "run32" / "final.vldt")
-    assert all(r.dtype == np.float32 for r in records.values())
+    for name in ("final.vldt", "best.vldt", "last.vldt"):
+        records = checkpoint.load(tmp_path / "run" / name)
+        assert all(r.dtype == PRECISIONS[precision] for r in records.values())
 
 
 def test_divergence_aborts_with_last_good_checkpoint(tmp_path, monkeypatch):
