@@ -48,20 +48,21 @@ def save(path, records: dict[str, np.ndarray]) -> None:
 
 
 def load(path) -> dict[str, np.ndarray]:
-    """Read all records, preserving file order."""
+    """Read all records, preserving file order. A malformed container
+    raises ParseError, a missing one DataError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"container not found: {path}")
     blob = path.read_bytes()
     if blob[:4] != MAGIC:
         raise ParseError(f"{path}: bad magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != VERSION:
-        raise ParseError(f"{path}: unsupported container version {version}")
-    offset = 6
     records: dict[str, np.ndarray] = {}
-    while offset < len(blob):
-        try:
+    try:
+        (version,) = struct.unpack_from("<H", blob, 4)
+        if version != VERSION:
+            raise ParseError(f"{path}: unsupported container version {version}")
+        offset = 6
+        while offset < len(blob):
             (name_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2
             name = blob[offset:offset + name_len].decode("utf-8")
@@ -78,7 +79,11 @@ def load(path) -> dict[str, np.ndarray]:
             if len(payload) != nbytes:
                 raise ParseError(f"{path}: truncated payload for record {name!r}")
             offset += nbytes
-        except struct.error as exc:
-            raise ParseError(f"{path}: truncated container") from exc
-        records[name] = np.frombuffer(payload, dtype=dt).reshape(shape).copy()
+            records[name] = np.frombuffer(payload, dtype=dt).reshape(shape).copy()
+    except struct.error as exc:
+        raise ParseError(f"{path}: truncated container") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: record name is not UTF-8") from exc
+    except ValueError as exc:  # reshape: too many or wrapped extents
+        raise ParseError(f"{path}: bad record shape: {exc}") from exc
     return records

@@ -73,7 +73,7 @@ class Dataset:
     num_train_identities: int
 
     def __post_init__(self):
-        self._cache: dict[tuple, np.ndarray] = {}
+        self._raw: dict[int, np.ndarray] = {}
 
     @property
     def train(self) -> list[Tracklet]:
@@ -84,15 +84,19 @@ class Dataset:
         return [t for t in self.tracklets if t.identity >= self.num_train_identities]
 
     def load_frames(self, tracklet: Tracklet) -> np.ndarray:
-        """[T, H, W, 3] in [0, 1] in the default dtype; cached after first
-        read. In float32 every value equals the float64 value rounded."""
-        dtype = default_dtype()
-        cached = self._cache.get((tracklet.tracklet_id, dtype))
-        if cached is None:
+        """[T, H, W, 3] in [0, 1] in the default dtype, as a fresh array.
+
+        The stored uint8 frames are cached once per tracklet and decoded
+        into the default dtype on every read, so one entry serves both
+        precisions. In float32 every value equals the float64 value
+        rounded."""
+        raw = self._raw.get(tracklet.tracklet_id)
+        if raw is None:
             records = checkpoint.load(self.root / tracklet.path)
-            cached = records["frames"].astype(dtype) / 255.0
-            self._cache[tracklet.tracklet_id, dtype] = cached
-        return cached.copy()
+            if "frames" not in records:
+                raise DataError(f"{tracklet.path}: no frames record")
+            raw = self._raw[tracklet.tracklet_id] = records["frames"]
+        return raw.astype(default_dtype()) / 255.0
 
 
 # -- identity signal ----------------------------------------------------------

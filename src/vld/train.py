@@ -228,6 +228,7 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
     best_map = -1.0
     epoch_losses = []
     step = 0
+    reports = None
     try:
         for epoch in range(cfg["train.epochs"]):
             epoch_total = 0.0
@@ -271,7 +272,9 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
         raise
 
     checkpoint.save(out / "final.vldt", checkpoint_records(model, heads))
-    reports, _, _ = evaluate_model(cfg, model, dataset, direction)
+    # The last epoch's evaluation already ranks the final model.
+    if reports is None:
+        reports, _, _ = evaluate_model(cfg, model, dataset, direction)
     for name, report in reports.items():
         save_report(report, out / f"report_{name}.json", out / f"cmc_{name}.csv")
     metrics_path.write_text("\n".join(lines) + "\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vld import checkpoint
-from vld.errors import ParseError
+from vld.errors import DataError, ParseError
 from vld.rng import Rng
 
 
@@ -63,3 +63,64 @@ def test_scalar_and_unicode_names(tmp_path):
     loaded = checkpoint.load(path)
     assert loaded["scale/λ"].shape == ()
     assert float(loaded["scale/λ"]) == 3.5
+
+
+def _two_record_container(path):
+    """A valid container of one u8 and one f32 record, its header byte
+    positions, and the offsets at which each record ends."""
+    records = {
+        "frames": (np.arange(24, dtype=np.uint8) * 11).reshape(2, 3, 4),
+        "w": np.array([0.5, -1.0, 2.0], dtype=np.float32),
+    }
+    checkpoint.save(path, records)
+    blob = path.read_bytes()
+    header = list(range(6))          # magic, version
+    ends = [6]
+    for name, arr in records.items():
+        # name length u16, name, dtype code u8, ndim u8, extents u32 each
+        head = 2 + len(name.encode("utf-8")) + 2 + 4 * arr.ndim
+        header.extend(range(ends[-1], ends[-1] + head))
+        ends.append(ends[-1] + head + arr.nbytes)
+    assert ends[-1] == len(blob)
+    return records, blob, header, ends
+
+
+def test_every_proper_prefix_is_rejected_or_a_record_boundary(tmp_path):
+    """The format has no record count, so a prefix that ends exactly
+    between records is itself a valid container of the leading records;
+    every other prefix must raise ParseError and nothing else."""
+    records, blob, _, ends = _two_record_container(tmp_path / "ok.vldt")
+    names = list(records)
+    path = tmp_path / "cut.vldt"
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        if n in ends:
+            loaded = checkpoint.load(path)
+            assert list(loaded) == names[:ends.index(n)]
+            for name, arr in loaded.items():
+                assert arr.tobytes() == records[name].tobytes()
+        else:
+            with pytest.raises(ParseError):
+                checkpoint.load(path)
+
+
+def test_every_header_byte_set_to_ff_is_rejected(tmp_path):
+    """Magic, version, name length, name, dtype code, ndim and every
+    extent byte of both records, each set to 0xFF in turn."""
+    _, blob, header, _ = _two_record_container(tmp_path / "ok.vldt")
+    path = tmp_path / "bad.vldt"
+    for pos in header:
+        corrupt = bytearray(blob)
+        corrupt[pos] = 0xFF
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises((ParseError, DataError)):
+            checkpoint.load(path)
+
+
+def test_more_extents_than_numpy_supports_is_parse_error(tmp_path):
+    """A zero extent makes the payload empty, so only the rank is wrong."""
+    path = tmp_path / "deep.vldt"
+    path.write_bytes(b"VLDT\x01\x00" + b"\x01\x00x" + bytes([3, 65])
+                     + b"\x00" * (4 * 65))
+    with pytest.raises(ParseError):
+        checkpoint.load(path)

@@ -131,6 +131,24 @@ def test_single_precision_frames_equal_rounded_double_frames(tmp_path):
     assert ds.load_frames(tracklet).dtype == np.float64
 
 
+def test_load_frames_returns_a_fresh_array_each_read(small_dataset):
+    """Writing into one read's array must not reach the cached frames."""
+    tracklet = small_dataset.tracklets[0]
+    first = small_dataset.load_frames(tracklet)
+    original = first.copy()
+    first[...] = -1.0
+    np.testing.assert_array_equal(small_dataset.load_frames(tracklet),
+                                  original)
+
+
+def test_tracklet_file_without_frames_record_is_data_error(tmp_path):
+    """A container cut right after its header is well formed but empty."""
+    (tmp_path / "empty.vldt").write_bytes(b"VLDT\x01\x00")
+    tracklet = Tracklet(0, 0, VISIBLE, 0, 1, "empty.vldt")
+    with pytest.raises(DataError):
+        Dataset(tmp_path, [tracklet], 1).load_frames(tracklet)
+
+
 # -- augmentation ---------------------------------------------------------------
 
 

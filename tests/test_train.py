@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vld import checkpoint, tensor
+from vld import train as train_module
 from vld.config import default_config, parse_config
 from vld.data import generate
 from vld.errors import ConfigError
@@ -49,6 +50,25 @@ def test_train_produces_run_artifacts(tmp_path):
     assert summary["steps"] == 2 * 4  # 8 tracklets / batch 4 -> 4 steps/epoch
     text = (out / "metrics.log").read_text()
     assert "loss_total=" in text and "eval epoch=" in text
+
+
+@pytest.mark.parametrize("epochs, evaluations", [(2, 2), (0, 1)])
+def test_final_reports_reuse_the_last_epoch_evaluation(tmp_path, monkeypatch,
+                                                        epochs, evaluations):
+    """The model does not change after the last epoch's evaluation, so the
+    final reports reuse it; a run of no epochs still evaluates once."""
+    calls = []
+    evaluate_model = train_module.evaluate_model
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return evaluate_model(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "evaluate_model", counting)
+    cfg = tiny_config(tmp_path / "data", **{"train.epochs": epochs})
+    train(cfg, tmp_path / "run")
+    assert len(calls) == evaluations
+    assert (tmp_path / "run" / "report_ir2vis.json").exists()
 
 
 PRECISIONS = {"double": np.float64, "single": np.float32}
