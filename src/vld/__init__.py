@@ -7,20 +7,4 @@ suite, a synthetic two-modality benchmark, retrieval evaluation, and an
 analytic cost profiler.
 """
 
-import os as _os
-
-# Desk-scale arrays are small enough that BLAS thread fan-out costs more
-# than it saves; keep the kernels single-threaded (measured ~1.8x faster).
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    _os.environ.setdefault(_var, "1")
-try:
-    import threadpoolctl as _threadpoolctl
-
-    _threadpoolctl.threadpool_limits(1, "blas")
-except Exception:  # pragma: no cover - best effort when unavailable
-    pass
-
-from .tensor import Tensor, no_grad, set_default_dtype  # noqa: F401
-from .rng import Rng  # noqa: F401
-
 __version__ = "0.1.0"

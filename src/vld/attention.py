@@ -24,12 +24,11 @@ class AttentionWeights:
     heads: int
 
     @classmethod
-    def create(cls, dim: int, heads: int, rng: Rng, std: float | None = None,
+    def create(cls, dim: int, heads: int, rng: Rng,
                trainable: bool = True) -> "AttentionWeights":
         if dim % heads != 0:
             raise ConfigError(f"dim {dim} not divisible by {heads} heads")
-        if std is None:
-            std = dim ** -0.5
+        std = dim ** -0.5
 
         def w():
             return Tensor(rng.normal((dim, dim), std=std), requires_grad=trainable)
@@ -44,8 +43,8 @@ class AttentionWeights:
             yield f"{prefix}/{key}", getattr(self, key)
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights,
-                         return_weights: bool = False):
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor,
+                         w: AttentionWeights) -> Tensor:
     """Attention of queries over keys/values along the second-to-last axis.
 
     q is [..., Lq, D]; k and v are [..., Lk, D]. Scores use the usual
@@ -53,4 +52,4 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights,
     single ``vld.tensor.attention`` node.
     """
     return attention(q, k, v, (w.wq, w.bq, w.wk, w.bk, w.wv, w.bv, w.wo, w.bo),
-                     w.heads, return_weights=return_weights)
+                     w.heads)

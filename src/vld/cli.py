@@ -14,6 +14,11 @@ import sys
 import time
 from pathlib import Path
 
+# Desk-scale kernels run fastest on one BLAS thread. OpenBLAS reads these
+# once, when numpy loads it, so they are set before the first numpy import.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from .config import RunConfig, default_config, load_config, write_config

@@ -62,6 +62,18 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "eval.use_hub_feature": ("bool", False),
 }
 
+# The smallest value of each size a run divides by, loops over or pads by.
+_MINIMUMS: dict[str, int] = {
+    **dict.fromkeys((
+        "data.train_identities", "data.test_identities",
+        "data.tracklets_per_identity", "data.frames", "data.image_h",
+        "data.image_w", "encoder.patch", "encoder.dim", "encoder.depth",
+        "encoder.heads", "encoder.mlp_ratio", "train.epoch_passes",
+        "train.batch_identities", "train.batch_tracklets"), 1),
+    "train.epochs": 0,
+    "data.pad": 0,
+}
+
 
 def _parse_value(key: str, raw: str):
     kind, _ = SCHEMA[key]
@@ -128,8 +140,11 @@ class RunConfig:
                            lambda_wrt_hub=self.values["loss.lambda_wrt_hub"])
 
     def validate(self) -> "RunConfig":
-        self.encoder_config()
         v = self.values
+        for key, low in _MINIMUMS.items():
+            if v[key] < low:
+                raise ConfigError(f"{key} must be at least {low}, got {v[key]}")
+        self.encoder_config()
         if not 0 <= v["stp.insertion_layer"] <= v["encoder.depth"]:
             raise ConfigError(
                 f"stp.insertion_layer {v['stp.insertion_layer']} outside "

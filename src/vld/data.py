@@ -207,17 +207,28 @@ def load_dataset(root) -> Dataset:
     if not manifest.exists():
         raise DataError(f"no manifest.tsv under {root}")
     rows = []
-    for line in manifest.read_text().splitlines()[1:]:
-        tid, identity, modality, camera, count, path = line.split("\t")
-        rows.append(Tracklet(int(tid), int(identity), modality, int(camera),
-                             int(count), path))
+    lines = manifest.read_text().splitlines()
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            tid, identity, modality, camera, count, path = line.split("\t")
+            row = Tracklet(int(tid), int(identity), modality, int(camera),
+                           int(count), path)
+        except ValueError:
+            raise DataError(f"{manifest}:{lineno}: malformed row {line!r}") from None
+        if modality not in (VISIBLE, INFRARED):
+            raise DataError(f"{manifest}:{lineno}: unknown modality {modality!r}")
+        rows.append(row)
     num_train = None
     meta = root / "meta.cfg"
     if meta.exists():
         for line in meta.read_text().splitlines():
             key, _, value = line.partition("=")
             if key.strip() == "num_train_identities":
-                num_train = int(value)
+                try:
+                    num_train = int(value)
+                except ValueError:
+                    raise DataError(f"{meta}: num_train_identities must be an "
+                                    f"integer, got {value.strip()!r}") from None
     if num_train is None:
         num_train = len({r.identity for r in rows})
     return Dataset(root, rows, num_train)

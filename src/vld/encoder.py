@@ -177,12 +177,6 @@ class VisionEncoder:
         cls = broadcast_to(reshape(self.cls, (1, 1, 1, d)), (b, t, 1, d))
         return concat([cls, tokens], axis=2) + self.pos
 
-    def patchify(self, frame) -> Tensor:
-        """Token sequence [N+1, D] for one [H, W, C] frame."""
-        frame = as_tensor(frame)
-        self._check_extents(frame.shape)
-        return self.embed(reshape(frame, (1, 1) + frame.shape))[0, 0]
-
     # -- encoding ------------------------------------------------------------
 
     def encode(self, frames, hub=None, hub_rows: bool = True) -> EncodeOutput:

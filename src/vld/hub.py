@@ -77,20 +77,12 @@ class HubReadout:
         self.ln_g = Tensor(np.ones(dim), requires_grad=True)
         self.ln_b = Tensor(np.zeros(dim), requires_grad=True)
 
-    def __call__(self, cls_frames: Tensor, hub_block: Tensor,
-                 return_weights: bool = False):
+    def __call__(self, cls_frames: Tensor, hub_block: Tensor):
         """cls_frames [B, T, D], hub_block [B, T, T, D] -> ([B,T,D], [B,D])."""
         keys = flatten_hub(hub_block)
-        if return_weights:
-            mixed, weights = multi_head_attention(cls_frames, keys, keys,
-                                                  self.attn, return_weights=True)
-        else:
-            mixed = multi_head_attention(cls_frames, keys, keys, self.attn)
+        mixed = multi_head_attention(cls_frames, keys, keys, self.attn)
         frame_feats = layer_norm(mixed, self.ln_g, self.ln_b)
-        pooled = sorted_mean(frame_feats, axis=1)
-        if return_weights:
-            return frame_feats, pooled, weights
-        return frame_feats, pooled
+        return frame_feats, sorted_mean(frame_feats, axis=1)
 
     def named_parameters(self, prefix: str = "stp/sta"):
         yield from self.attn.named(prefix)
@@ -102,7 +94,7 @@ class VideoModel:
     """Vision encoder plus optional hub and readout; the retrieval model."""
 
     def __init__(self, cfg: EncoderConfig, frames: int, rng: Rng,
-                 use_hub: bool = True, insertion_layer: int | None = None):
+                 use_hub: bool, insertion_layer: int):
         from .encoder import VisionEncoder
         self.cfg = cfg
         self.frames = frames
@@ -110,8 +102,7 @@ class VideoModel:
         self.hub = None
         self.readout = None
         if use_hub:
-            layer = cfg.depth - 3 if insertion_layer is None else insertion_layer
-            self.hub = TemporalHub(frames, cfg.dim, layer, cfg.depth,
+            self.hub = TemporalHub(frames, cfg.dim, insertion_layer, cfg.depth,
                                    rng.split("hub"))
             self.readout = HubReadout(cfg.dim, cfg.heads, rng.split("readout"))
 

@@ -10,7 +10,7 @@ Counting conventions, also printed in every report:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .encoder import EncoderConfig, count_layer_tokens
 
@@ -121,11 +121,10 @@ def estimate_flops(cfg: EncoderConfig, frames: int, stp_enabled: bool,
             "readout": per_frame_readout,
         }
         delta = hub_delta_layers + per_frame_readout
-    report = CostReport(params_total=0, flops_total=sum(by_module.values()),
-                        flops_by_module=by_module, tokens_per_layer=tokens,
-                        stp_flops_delta=delta,
-                        stp_flops_delta_by_module=delta_by_module)
-    return report
+    return CostReport(params_total=0, flops_total=sum(by_module.values()),
+                      flops_by_module=by_module, tokens_per_layer=tokens,
+                      stp_flops_delta=delta,
+                      stp_flops_delta_by_module=delta_by_module)
 
 
 def cost_report(cfg: EncoderConfig, frames: int, stp_enabled: bool,
@@ -133,19 +132,12 @@ def cost_report(cfg: EncoderConfig, frames: int, stp_enabled: bool,
     """Combined parameter and FLOP report for one configuration."""
     params = count_params(cfg, frames, stp_enabled)
     flops = estimate_flops(cfg, frames, stp_enabled, insertion_layer)
-    return CostReport(
-        params_total=params.params_total,
-        params_by_module=params.params_by_module,
-        flops_total=flops.flops_total,
-        flops_by_module=flops.flops_by_module,
-        tokens_per_layer=flops.tokens_per_layer,
-        stp_param_delta=params.stp_param_delta,
-        stp_flops_delta=flops.stp_flops_delta,
-        stp_flops_delta_by_module=flops.stp_flops_delta_by_module,
-    )
+    return replace(flops, params_total=params.params_total,
+                   params_by_module=params.params_by_module,
+                   stp_param_delta=params.stp_param_delta)
 
 
-def format_report(report: CostReport, reference_delta_note: bool = True) -> str:
+def format_report(report: CostReport) -> str:
     lines = ["cost report"]
     for note in report.notes:
         lines.append(f"  # {note}")
@@ -162,7 +154,7 @@ def format_report(report: CostReport, reference_delta_note: bool = True) -> str:
     lines.append(f"  stp macs delta        {report.stp_macs_delta:>14,}")
     for name, value in report.stp_flops_delta_by_module.items():
         lines.append(f"    delta {name:<15} {value:>14,}")
-    if reference_delta_note and report.stp_param_delta >= 1_000_000:
+    if report.stp_param_delta >= 1_000_000:
         lines.append("  published costs for this architecture family:"
                      " +2.39M params, +0.12G FLOPs")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ report. No same-camera filtering is applied.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,6 @@ class RetrievalReport:
     direction: str
     num_queries: int
     num_skipped: int
-    ranked_ids: list = field(default_factory=list)
 
     def rank(self, k: int) -> float:
         return float(self.cmc[min(k, len(self.cmc)) - 1])
@@ -74,7 +73,7 @@ def extract_features(model, dataset: Dataset, tracklets: list[Tracklet],
 
 
 def evaluate(queries: GalleryIndex, gallery: GalleryIndex,
-             direction: str = "", keep_rankings: bool = False) -> RetrievalReport:
+             direction: str = "") -> RetrievalReport:
     """CMC and mAP of queries against a modality-disjoint gallery."""
     if set(queries.modalities) & set(gallery.modalities):
         raise DataError("query and gallery modalities overlap")
@@ -83,12 +82,9 @@ def evaluate(queries: GalleryIndex, gallery: GalleryIndex,
     cmc_hits = np.zeros(g)
     aps = []
     skipped = 0
-    ranked_ids = []
     for qi in range(len(queries.tracklet_ids)):
         # lexsort: last key is primary, so similarity first, then id.
         order = np.lexsort((gallery.tracklet_ids, -sims[qi]))
-        if keep_rankings:
-            ranked_ids.append(gallery.tracklet_ids[order].tolist())
         hits = gallery.identities[order] == queries.identities[qi]
         if not hits.any():
             skipped += 1
@@ -109,7 +105,6 @@ def evaluate(queries: GalleryIndex, gallery: GalleryIndex,
         direction=direction,
         num_queries=evaluated,
         num_skipped=skipped,
-        ranked_ids=ranked_ids,
     )
 
 

@@ -94,10 +94,8 @@ class Rng:
             order[i], order[j] = order[j], order[i]
         return order
 
-    def choice(self, n: int, k: int, replace: bool = False) -> np.ndarray:
-        """``k`` indices from range(n); without replacement requires k <= n."""
-        if replace:
-            return self.integers(k, n)
+    def choice(self, n: int, k: int) -> np.ndarray:
+        """``k`` distinct indices from range(n); requires k <= n."""
         if k > n:
             raise ValueError(f"cannot draw {k} from {n} without replacement")
         return self.permutation(n)[:k]

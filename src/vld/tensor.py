@@ -94,9 +94,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -587,16 +584,14 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     return _make(out.reshape(*x.data.shape[:-1], out_dim), parents, vjp)
 
 
-def attention(q, k, v, params, heads: int, return_weights: bool = False):
+def attention(q, k, v, params, heads: int):
     """Multi-head scaled dot-product attention as one node.
 
     q is [..., Lq, D]; k and v are [..., Lk, D]; ``params`` is
     (wq, bq, wk, bk, wv, bv, wo, bo), each weight D x D. Scores use the
     1/sqrt(D/heads) scale. Inputs that are the same tensor share one
     projection product: Q/K/V in one when ``q is k is v``, K/V in one when
-    ``k is v``. Backward keeps the attention probabilities. With
-    ``return_weights`` the probabilities [..., heads, Lq, Lk] come back as
-    a second tensor with no graph.
+    ``k is v``. Backward keeps the attention probabilities.
     """
     converted = {}
     q, k, v = (converted.setdefault(id(t), as_tensor(t)) for t in (q, k, v))
@@ -684,7 +679,4 @@ def attention(q, k, v, params, heads: int, return_weights: bool = False):
         return (*input_grads, *param_grads, gwo, gbo)
 
     parents = tuple(x for x, _, _, _ in saved) + params
-    out = _make(out.reshape(*q.data.shape[:-1], d), parents, vjp)
-    if return_weights:
-        return out, _make(attn, (), None)
-    return out
+    return _make(out.reshape(*q.data.shape[:-1], d), parents, vjp)

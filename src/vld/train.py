@@ -17,7 +17,7 @@ from . import checkpoint
 from .config import RunConfig
 from .data import (Dataset, generate, load_dataset, sample_batch, INFRARED,
                    VISIBLE)
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 from .hub import VideoModel
 from .losses import (IdentityHead, LossWeights, identity_cross_entropy,
                      total_loss, weighted_regularized_triplet)
@@ -98,20 +98,13 @@ def all_parameters(model: VideoModel, heads: TrainingHeads):
     yield from heads.named_parameters()
 
 
-def checkpoint_records(model: VideoModel, heads: TrainingHeads | None) -> dict:
-    records = {name: p.data for name, p in model.named_parameters()}
-    if heads is not None:
-        records.update({name: p.data for name, p in heads.named_parameters()})
-    return records
+def checkpoint_records(model: VideoModel, heads: TrainingHeads) -> dict:
+    return {name: p.data for name, p in all_parameters(model, heads)}
 
 
-def load_into(model: VideoModel, heads: TrainingHeads | None, path) -> None:
-    from .errors import ConfigError
+def load_into(model: VideoModel, heads: TrainingHeads, path) -> None:
     records = checkpoint.load(path)
-    targets = dict(model.named_parameters())
-    if heads is not None:
-        targets.update(dict(heads.named_parameters()))
-    for name, param in targets.items():
+    for name, param in all_parameters(model, heads):
         if name not in records:
             raise ConfigError(f"checkpoint missing parameter {name}")
         if records[name].shape != param.data.shape:

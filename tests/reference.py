@@ -1,10 +1,11 @@
-"""Composite reference implementations of the fused nodes.
+"""Reference implementations the tests hold the program against.
 
-These are the single-op compositions that ``vld.tensor.mlp`` and
-``vld.tensor.attention`` replace: GELU and softmax with their own VJPs,
-the three-projection GEMM, and the head split/merge built from reshape and
-swap_axes. Tests compare the fused nodes against them: forwards bit for
-bit, gradients within 1e-12.
+The composite nodes are the single-op compositions that
+``vld.tensor.mlp`` and ``vld.tensor.attention`` replace: GELU and softmax
+with their own VJPs, the three-projection GEMM, and the head split/merge
+built from reshape and swap_axes. Tests compare the fused nodes against
+them: forwards bit for bit, gradients within 1e-12. ``brute_force_eval``
+is the retrieval oracle ``vld.retrieval.evaluate`` must equal exactly.
 """
 
 import math
@@ -118,3 +119,26 @@ def composite_attention(q, k, v, w, return_weights: bool = False):
 def composite_mlp(x, w1, b1, w2, b2):
     """linear -> GELU -> linear as three nodes."""
     return linear(gelu(linear(x, w1, b1)), w2, b2)
+
+
+def brute_force_eval(queries, gallery):
+    """Independent CMC/mAP: explicit loops, python sort with tuple keys."""
+    g = len(gallery.tracklet_ids)
+    cmc = [0.0] * g
+    aps = []
+    for qi in range(len(queries.tracklet_ids)):
+        scored = []
+        for gi in range(g):
+            sim = float(np.dot(queries.features[qi], gallery.features[gi]))
+            scored.append((-sim, int(gallery.tracklet_ids[gi]), gi))
+        scored.sort()
+        ranked = [gi for _, _, gi in scored]
+        good = [r for r, gi in enumerate(ranked)
+                if gallery.identities[gi] == queries.identities[qi]]
+        if not good:
+            continue
+        for r in range(good[0], g):
+            cmc[r] += 1.0
+        precisions = [(k + 1) / (rank + 1) for k, rank in enumerate(good)]
+        aps.append(sum(precisions) / len(precisions))
+    return np.asarray(cmc) / len(aps), sum(aps) / len(aps)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import brute_force_eval
 from util import tiny_e2e_problem
 from vld.config import load_config
 from vld.encoder import EncoderConfig, VisionEncoder
@@ -221,27 +222,6 @@ def test_criterion_5_retrieval_oracle():
     from vld.retrieval import GalleryIndex, evaluate
     from vld.errors import DataError
 
-    def brute_force(queries, gallery):
-        g = len(gallery.tracklet_ids)
-        cmc = [0.0] * g
-        aps = []
-        for qi in range(len(queries.tracklet_ids)):
-            scored = sorted(
-                (-float(np.dot(queries.features[qi], gallery.features[gi])),
-                 int(gallery.tracklet_ids[gi]), gi)
-                for gi in range(g)
-            )
-            ranked = [gi for _, _, gi in scored]
-            good = [r for r, gi in enumerate(ranked)
-                    if gallery.identities[gi] == queries.identities[qi]]
-            if not good:
-                continue
-            for r in range(good[0], g):
-                cmc[r] += 1.0
-            aps.append(sum((k + 1) / (rank + 1)
-                           for k, rank in enumerate(good)) / len(good))
-        return np.asarray(cmc) / len(aps), sum(aps) / len(aps)
-
     rng = Rng(500)
     checked = 0
     trials = 0
@@ -264,7 +244,7 @@ def test_criterion_5_retrieval_oracle():
             report = evaluate(q, g)
         except DataError:
             continue
-        cmc, mean_ap = brute_force(q, g)
+        cmc, mean_ap = brute_force_eval(q, g)
         np.testing.assert_array_equal(report.cmc, cmc)
         assert report.mean_ap == mean_ap
         checked += 1

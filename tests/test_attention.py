@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import composite_attention
 from vld.attention import AttentionWeights, multi_head_attention
 from vld.errors import ConfigError
 from vld.gradcheck import check_gradients
@@ -38,7 +39,8 @@ def test_identical_keys_give_uniform_weights():
     key_row = Rng(8).normal((1, 8))
     k = Tensor(np.repeat(key_row, 5, axis=0))
     q = Tensor(Rng(9).normal((2, 8)))
-    _, attn = multi_head_attention(q, k, k, w, return_weights=True)
+    out, attn = composite_attention(q, k, k, w, return_weights=True)
+    assert np.array_equal(multi_head_attention(q, k, k, w).data, out.data)
     np.testing.assert_allclose(attn.data, 0.2, atol=1e-12)
 
 
@@ -46,7 +48,8 @@ def test_attention_rows_sum_to_one():
     w = make_weights()
     q = Tensor(Rng(10).normal((4, 8)))
     k = Tensor(Rng(11).normal((6, 8)))
-    _, attn = multi_head_attention(q, k, k, w, return_weights=True)
+    out, attn = composite_attention(q, k, k, w, return_weights=True)
+    assert np.array_equal(multi_head_attention(q, k, k, w).data, out.data)
     np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-10)
 
 

@@ -80,8 +80,8 @@ def test_eval_runs_in_the_configured_precision(tiny_cfg, tmp_path):
     from vld.config import load_config
     from vld.data import load_dataset
     from vld.rng import Rng
-    from vld.train import (build_model, configured_precision, evaluate_model,
-                           load_into)
+    from vld.train import (TrainingHeads, build_model, configured_precision,
+                           evaluate_model, load_into)
 
     tiny_cfg.write_text(tiny_cfg.read_text() + "train.precision = single\n")
     main(["gen-data", "--config", str(tiny_cfg)])
@@ -92,11 +92,14 @@ def test_eval_runs_in_the_configured_precision(tiny_cfg, tmp_path):
                  "--direction", "both", "--out", str(out)]) == 0
 
     cfg = load_config(tiny_cfg)
+    dataset = load_dataset(cfg["data.root"])
     with configured_precision(cfg):
-        model = build_model(cfg, Rng(cfg["train.seed"]).split("init"))
-        load_into(model, None, run / "final.vldt")
-        _, vis_index, ir_index = evaluate_model(
-            cfg, model, load_dataset(cfg["data.root"]), "both")
+        rng = Rng(cfg["train.seed"])
+        model = build_model(cfg, rng.split("init"))
+        heads = TrainingHeads(cfg, dataset.num_train_identities,
+                              rng.split("init"))
+        load_into(model, heads, run / "final.vldt")
+        _, vis_index, ir_index = evaluate_model(cfg, model, dataset, "both")
     assert model.encoder.patch_w.data.dtype == np.float32
     feats = checkpoint.load(out / "features.vldt")
     for index in (vis_index, ir_index):

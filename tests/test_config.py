@@ -86,3 +86,25 @@ def test_typed_views_are_consistent():
     assert plan.batch_size == 2 * 4 * 2
     spec = cfg.synthetic_spec()
     assert spec.num_identities == 30
+
+
+AT_LEAST_ONE = (
+    "data.train_identities", "data.test_identities",
+    "data.tracklets_per_identity", "data.frames", "data.image_h",
+    "data.image_w", "encoder.patch", "encoder.dim", "encoder.depth",
+    "encoder.heads", "encoder.mlp_ratio", "train.epoch_passes",
+    "train.batch_identities", "train.batch_tracklets",
+)
+AT_LEAST_ZERO = ("train.epochs", "data.pad")
+
+
+@pytest.mark.parametrize("key, value",
+                         [(key, 0) for key in AT_LEAST_ONE]
+                         + [(key, -1) for key in AT_LEAST_ZERO])
+def test_sizes_below_their_minimum_are_config_errors(key, value, tmp_path):
+    from vld.cli import main
+    path = tmp_path / "run.cfg"
+    path.write_text(f"data.root = {tmp_path / 'data'}\n{key} = {value}\n")
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "data").exists()

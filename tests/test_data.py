@@ -88,6 +88,61 @@ def test_manifest_round_trip(small_dataset):
         [t.tracklet_id for t in ds.tracklets]
 
 
+
+MANIFEST = ("tracklet_id\tidentity\tmodality\tcamera\tframe_count\tpath\n"
+            "0\t0\tvisible\t0\t3\ttracklets/tr00000.vldt\n"
+            "1\t0\tinfrared\t2\t3\ttracklets/tr00001.vldt\n")
+
+
+def write_manifest(root, text):
+    root.mkdir(exist_ok=True)
+    (root / "manifest.tsv").write_text(text)
+    return root
+
+
+def test_every_truncated_manifest_loads_whole_rows_or_is_data_error(tmp_path):
+    root = tmp_path / "d"
+    for cut in range(len(MANIFEST) + 1):
+        text = MANIFEST[:cut]
+        lines = text.splitlines()
+        partial = "" if text.endswith("\n") or len(lines) < 2 else lines[-1]
+        write_manifest(root, text)
+        if partial and partial.count("\t") < 5:
+            with pytest.raises(DataError, match=f":{len(lines)}:"):
+                load_dataset(root)
+            continue
+        loaded = load_dataset(root)
+        assert [t.tracklet_id for t in loaded.tracklets] == \
+            list(range(max(len(lines) - 1, 0)))
+
+
+@pytest.mark.parametrize("row", (1, 2))
+@pytest.mark.parametrize("field, bad", [
+    (0, "x"), (0, "1.5"), (0, ""), (1, "x"), (1, ""), (2, "thermal"),
+    (2, "Visible"), (2, ""), (3, "x"), (3, ""), (4, "x"), (4, "3.0"),
+    (4, ""), (None, "extra"), (None, None)])
+def test_every_corrupted_manifest_field_is_data_error(tmp_path, row, field,
+                                                       bad):
+    lines = MANIFEST.splitlines()
+    fields = lines[row].split("\t")
+    if field is not None:
+        fields[field] = bad
+    elif bad is None:
+        fields.pop()           # a field missing
+    else:
+        fields.append(bad)     # a field too many
+    lines[row] = "\t".join(fields)
+    root = write_manifest(tmp_path / "d", "\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f":{row + 1}:"):
+        load_dataset(root)
+
+
+def test_non_integer_train_identity_count_is_data_error(tmp_path):
+    root = write_manifest(tmp_path / "d", MANIFEST)
+    (root / "meta.cfg").write_text("num_train_identities = many\n")
+    with pytest.raises(DataError, match="num_train_identities"):
+        load_dataset(root)
+
 def test_cross_modal_correlation_floor(tmp_path):
     """Same-identity visible/infrared pairs correlate above cross-identity
     pairs under raw-pixel cosine after per-modality mean removal."""

@@ -46,14 +46,14 @@ def test_zero_image_with_zero_projection_yields_position_embedding():
     enc.patch_w.data[...] = 0.0
     enc.patch_b.data[...] = 0.0
     enc.cls.data[...] = 0.0
-    tokens = enc.patchify(np.zeros((8, 8, 3)))
-    np.testing.assert_array_equal(tokens.data, enc.pos.data)
+    tokens = enc.embed(np.zeros((1, 1, 8, 8, 3)))
+    np.testing.assert_array_equal(tokens.data[0, 0], enc.pos.data)
 
 
 def test_patchify_rejects_wrong_extents():
     enc = make_encoder()
     with pytest.raises(ConfigError):
-        enc.patchify(np.zeros((8, 10, 3)))
+        enc.embed(np.zeros((1, 1, 8, 10, 3)))
 
 
 def test_patch_raster_order():

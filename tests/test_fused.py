@@ -58,13 +58,10 @@ def test_attention_matches_composite(case):
     q, k, v, w, weighting = attention_problem(case)
     params = list(dict.fromkeys([q, k, v])) + [p for _, p in w.named("")]
     fused_out, fused_grads = run(
-        lambda: multi_head_attention(q, k, v, w, return_weights=True), (),
-        params, weighting)
+        lambda: multi_head_attention(q, k, v, w), (), params, weighting)
     ref_out, ref_grads = run(
-        lambda: composite_attention(q, k, v, w, return_weights=True), (),
-        params, weighting)
-    for fused, ref in zip(fused_out, ref_out):
-        assert np.array_equal(fused, ref)
+        lambda: composite_attention(q, k, v, w), (), params, weighting)
+    assert np.array_equal(fused_out[0], ref_out[0])
     for fused, ref in zip(fused_grads, ref_grads):
         assert max_relative_error(fused, ref) < 1e-12
 
@@ -86,8 +83,7 @@ def test_float32_in_float32_out(case):
         params, mlp_weighting = mlp_problem()
         params32 = list(dict.fromkeys([q, k, v])) + [p for _, p in w.named("")]
         outs, grads = run(
-            lambda: multi_head_attention(q, k, v, w, return_weights=True), (),
-            params32, weighting)
+            lambda: multi_head_attention(q, k, v, w), (), params32, weighting)
         mlp_outs, mlp_grads = run(mlp, params, params, mlp_weighting)
         ref_out = composite_attention(q, k, v, w).data
         ref_mlp = composite_mlp(*params).data
@@ -105,15 +101,7 @@ def test_no_grad_records_nothing(case):
     q, k, v, w, _ = attention_problem(case)
     params, _ = mlp_problem()
     with no_grad():
-        out, weights = multi_head_attention(q, k, v, w, return_weights=True)
+        out = multi_head_attention(q, k, v, w)
         hidden = mlp(*params)
-    for t in (out, weights, hidden):
+    for t in (out, hidden):
         assert t._parents == () and t._vjp is None and not t.requires_grad
-
-
-def test_returned_weights_carry_no_graph():
-    q, k, v, w, _ = attention_problem("readout")
-    out, weights = multi_head_attention(q, k, v, w, return_weights=True)
-    assert out.requires_grad
-    assert weights.shape == (3, 2, 4, 5, 9)
-    assert weights._parents == () and not weights.requires_grad

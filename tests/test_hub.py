@@ -4,11 +4,12 @@ cross-frame gradient flow, and the readout attention."""
 import numpy as np
 import pytest
 
+from reference import composite_attention
 from vld.encoder import EncoderConfig, VisionEncoder
 from vld.errors import ConfigError
 from vld.hub import HubReadout, TemporalHub, VideoModel, flatten_hub
 from vld.rng import Rng
-from vld.tensor import Tensor
+from vld.tensor import Tensor, layer_norm
 
 TINY = EncoderConfig(image_h=8, image_w=8, patch=4, depth=4, dim=8, heads=2)
 DESK = EncoderConfig(image_h=32, image_w=16, patch=8, depth=4, dim=64, heads=4)
@@ -175,7 +176,12 @@ def test_readout_attention_rows_sum_to_one_over_t2_keys():
     readout = HubReadout(8, 2, Rng(21))
     block = Tensor(Rng(22).normal((2, 4, 4, 8)))
     cls = Tensor(Rng(23).normal((2, 4, 8)))
-    _, pooled, weights = readout(cls, block, return_weights=True)
+    frame_feats, pooled = readout(cls, block)
+    keys = flatten_hub(block)
+    mixed, weights = composite_attention(cls, keys, keys, readout.attn,
+                                         return_weights=True)
+    expected = layer_norm(mixed, readout.ln_g, readout.ln_b)
+    assert np.array_equal(frame_feats.data, expected.data)
     assert weights.shape[-1] == 16
     np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-10)
     assert pooled.shape == (2, 8)

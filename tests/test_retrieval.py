@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import brute_force_eval
 from vld.errors import DataError, ParseError
 from vld.retrieval import (GalleryIndex, evaluate, load_cmc_csv, save_report)
 from vld.rng import Rng
@@ -18,29 +19,6 @@ def make_index(features, identities, modality, ids=None):
         modalities=np.asarray([modality] * n),
         tracklet_ids=np.asarray(ids if ids is not None else range(n)),
     )
-
-
-def brute_force_eval(queries: GalleryIndex, gallery: GalleryIndex):
-    """Independent CMC/mAP: explicit loops, python sort with tuple keys."""
-    g = len(gallery.tracklet_ids)
-    cmc = [0.0] * g
-    aps = []
-    for qi in range(len(queries.tracklet_ids)):
-        scored = []
-        for gi in range(g):
-            sim = float(np.dot(queries.features[qi], gallery.features[gi]))
-            scored.append((-sim, int(gallery.tracklet_ids[gi]), gi))
-        scored.sort()
-        ranked = [gi for _, _, gi in scored]
-        good = [r for r, gi in enumerate(ranked)
-                if gallery.identities[gi] == queries.identities[qi]]
-        if not good:
-            continue
-        for r in range(good[0], g):
-            cmc[r] += 1.0
-        precisions = [(k + 1) / (rank + 1) for k, rank in enumerate(good)]
-        aps.append(sum(precisions) / len(precisions))
-    return np.asarray(cmc) / len(aps), sum(aps) / len(aps)
 
 
 def test_single_query_single_match():
@@ -135,11 +113,12 @@ def test_gallery_storage_order_is_irrelevant():
 def test_exact_ties_break_by_ascending_tracklet_id():
     q = make_index([[1.0, 0.0]], [0], "infrared")
     same = [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
-    g = make_index(same, [1, 0, 1], "visible", ids=[30, 20, 10])
-    report = evaluate(q, g, keep_rankings=True)
-    assert report.ranked_ids[0] == [10, 20, 30]
-    # the correct identity sits at tracklet id 20 -> rank 2
-    assert report.cmc[0] == 0.0 and report.cmc[1] == 1.0
+    # Stored as 30, 20, 10, the tied rows must rank as 10, 20, 30: a match
+    # at tracklet 10 is rank 1 and a match at tracklet 30 is rank 3.
+    for identities, cmc in (([1, 1, 0], [1.0, 1.0, 1.0]),
+                            ([0, 1, 1], [0.0, 0.0, 1.0])):
+        g = make_index(same, identities, "visible", ids=[30, 20, 10])
+        np.testing.assert_array_equal(evaluate(q, g).cmc, cmc)
 
 
 def test_report_files_round_trip(tmp_path):
