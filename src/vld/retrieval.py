@@ -130,11 +130,9 @@ def load_cmc_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse a CMC curve CSV, reporting the offending line on failure."""
     ranks, values = [], []
     text = Path(path).read_text().splitlines()
-    for lineno, line in enumerate(text, start=1):
-        if lineno == 1:
-            if line.strip() != "rank,value":
-                raise ParseError(f"{path}:{lineno}: expected 'rank,value' header")
-            continue
+    if not text or text[0].strip() != "rank,value":
+        raise ParseError(f"{path}:1: expected 'rank,value' header")
+    for lineno, line in enumerate(text[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -145,4 +143,6 @@ def load_cmc_csv(path) -> tuple[np.ndarray, np.ndarray]:
             values.append(float(parts[1]))
         except ValueError:
             raise ParseError(f"{path}:{lineno}: malformed CMC row {line!r}") from None
+    if not ranks:
+        raise ParseError(f"{path}: no CMC rows after the header")
     return np.asarray(ranks), np.asarray(values)

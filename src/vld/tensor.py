@@ -10,8 +10,13 @@ run's ``train.precision`` (``single`` unless a config says ``double``)
 the default for the run only. Retrieval ranks in float64 whatever the
 model's precision.
 
-Gradients accumulate by summation across backward calls and across
-multiple uses of a tensor; callers zero them explicitly between steps.
+Backward consumes its graph. As it passes each non-leaf node it drops
+the node's parents and VJP, and with them the buffers the VJP kept, so a
+step's graph is freed during its backward rather than when the caller
+drops the loss; a second backward through a consumed graph raises
+``ContractError``. Only leaves receive ``.grad``. Gradients accumulate by
+summation across multiple uses of a tensor and across backward calls over
+fresh graphs; callers zero them explicitly between steps.
 
 Numerics contract of the fused nodes (``mlp``, ``attention``): the forward
 runs the same floating-point operations in the same order as the
@@ -104,7 +109,14 @@ class Tensor:
     # -- autodiff core ------------------------------------------------------
 
     def backward(self) -> None:
-        """Populate .grad on every requires_grad tensor reaching this scalar."""
+        """Accumulate this scalar's gradient into every leaf reaching it.
+
+        Backward consumes its graph: each non-leaf node drops its parents
+        and its VJP, with the buffers the VJP kept, once it is passed, so
+        a second backward through it raises ``ContractError``. Only leaves
+        (tensors built with ``requires_grad``) receive ``.grad``; it sums
+        across backward calls over fresh graphs until zeroed.
+        """
         if self.data.size != 1:
             raise ContractError(
                 f"backward() requires a scalar loss, got shape {self.data.shape}"
@@ -130,20 +142,24 @@ class Tensor:
 
         # Accumulation is out-of-place: vjp outputs may alias their input
         # gradient (or each other, as in add), so in-place += could corrupt
-        # a sibling's pending buffer.
+        # a sibling's pending buffer. Popping topo drops each node as soon
+        # as it is passed.
         pending = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = pending.pop(id(node), None)
+            vjp = node._vjp
+            if vjp is None:
+                if g is not None:
+                    # Leaves get their own buffer; callers treat .grad as owned.
+                    node.grad = (np.array(g, copy=True) if node.grad is None
+                                 else node.grad + g)
+                continue
+            parents = node._parents
+            node._parents, node._vjp = (), _released
             if g is None:
                 continue
-            if node.grad is None:
-                # Leaves get their own buffer; callers treat .grad as owned.
-                node.grad = np.array(g, copy=True) if node._vjp is None else g
-            else:
-                node.grad = node.grad + g
-            if node._vjp is None:
-                continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
+            for parent, pg in zip(parents, vjp(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 if id(parent) in pending:
@@ -195,6 +211,12 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tmean(self, axis=axis, keepdims=keepdims)
+
+
+def _released(g):
+    """The VJP of a node that an earlier backward already passed."""
+    raise ContractError("backward() through a graph an earlier backward() "
+                        "already consumed")
 
 
 def as_tensor(x) -> Tensor:

@@ -32,6 +32,22 @@ def test_save_is_deterministic(tmp_path):
     assert (tmp_path / "one.vldt").read_bytes() == (tmp_path / "two.vldt").read_bytes()
 
 
+def test_failed_overwrite_keeps_old_file_and_leaves_no_stray(tmp_path,
+                                                             monkeypatch):
+    path = tmp_path / "model.vldt"
+    checkpoint.save(path, {"x": np.ones(4)})
+    old = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(checkpoint.os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        checkpoint.save(path, {"x": np.zeros(9)})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.vldt"]
+
+
 def test_header_layout(tmp_path):
     path = tmp_path / "tiny.vldt"
     checkpoint.save(path, {"x": np.zeros(1)})

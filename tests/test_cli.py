@@ -203,6 +203,14 @@ def test_plot_malformed_csv_exit_code(tmp_path):
     assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 5
 
 
+@pytest.mark.parametrize("text", ["", "rank,value\n"])
+def test_plot_empty_or_header_only_csv_exit_code(tmp_path, text):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(text)
+    assert main(["plot", str(empty), "--out", str(tmp_path / "x.svg")]) == 5
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_missing_checkpoint_is_error(tiny_cfg, tmp_path):
     main(["gen-data", "--config", str(tiny_cfg)])
     code = main(["eval", "--config", str(tiny_cfg),

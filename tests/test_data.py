@@ -107,6 +107,10 @@ def test_every_truncated_manifest_loads_whole_rows_or_is_data_error(tmp_path):
         lines = text.splitlines()
         partial = "" if text.endswith("\n") or len(lines) < 2 else lines[-1]
         write_manifest(root, text)
+        if cut < MANIFEST.index("\n"):   # inside the header line
+            with pytest.raises(DataError, match=":1:"):
+                load_dataset(root)
+            continue
         if partial and partial.count("\t") < 5:
             with pytest.raises(DataError, match=f":{len(lines)}:"):
                 load_dataset(root)
@@ -114,6 +118,32 @@ def test_every_truncated_manifest_loads_whole_rows_or_is_data_error(tmp_path):
         loaded = load_dataset(root)
         assert [t.tracklet_id for t in loaded.tracklets] == \
             list(range(max(len(lines) - 1, 0)))
+
+
+def test_generation_cut_short_leaves_no_loadable_dataset(tmp_path,
+                                                         monkeypatch):
+    root = tmp_path / "d"
+    generate(SMALL, 1, root)
+    real_save, calls = checkpoint.save, []
+
+    def crash_on_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("killed mid-generation")
+        real_save(*args, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "save", crash_on_third)
+    with pytest.raises(OSError):
+        generate(SMALL, 2, root)
+    with pytest.raises(DataError, match="no manifest"):
+        load_dataset(root)
+
+
+def test_headerless_manifest_is_data_error(tmp_path):
+    rows = MANIFEST.split("\n", 1)[1]
+    root = write_manifest(tmp_path / "d", rows)
+    with pytest.raises(DataError, match=":1:"):
+        load_dataset(root)
 
 
 @pytest.mark.parametrize("row", (1, 2))

@@ -1,0 +1,93 @@
+"""Backward consumes its graph: a desk-sized step's graph is freed by the
+time ``backward()`` returns, even while the loss and its parts are held."""
+
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from vld.config import load_config
+from vld.errors import ContractError
+from vld.losses import total_loss
+from vld.rng import Rng
+from vld.train import (TrainingHeads, all_parameters, build_model,
+                       compute_losses, configured_precision)
+
+DESK_CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
+
+
+@pytest.fixture(scope="module")
+def desk_step():
+    """A closure building one desk batch's loss and parts, in float32."""
+    cfg = load_config(DESK_CONFIG_PATH).validate()
+    with configured_precision(cfg):
+        rng = Rng(9)
+        model = build_model(cfg, rng.split("init"))
+        heads = TrainingHeads(cfg, cfg["data.train_identities"], rng.split("init"))
+    plan = cfg.batch_plan()
+    per_identity = 2 * plan.tracklets_per_identity   # both modalities
+    labels = np.repeat(np.arange(plan.identities), per_identity)
+    frames = Rng(10).uniform((len(labels), cfg["data.frames"], cfg["data.image_h"],
+                              cfg["data.image_w"], 3)).astype(np.float32)
+    params = [p for _, p in all_parameters(model, heads)]
+
+    def build():
+        for p in params:
+            p.grad = None
+        with configured_precision(cfg):
+            parts = compute_losses(cfg, model, heads, frames, labels)
+            loss = total_loss(parts["id_cls"], parts["wrt_cls"], parts["v2t"],
+                              parts["id_hub"], parts["wrt_hub"],
+                              cfg.loss_weights())
+        return loss, parts
+
+    build()[0].backward()   # warm any first-call caches
+    return build, params, model
+
+
+def reachable(loss):
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def test_backward_releases_every_non_leaf_and_fills_every_leaf(desk_step):
+    build, _, model = desk_step
+    loss, _ = build()
+    nodes = reachable(loss)
+    inner = [n for n in nodes if n._vjp is not None]
+    leaves = [n for n in nodes if n._vjp is None and n.requires_grad]
+    assert len(inner) > 100 and any(n is model.encoder.patch_w for n in leaves)
+    loss.backward()
+    assert all(n._parents == () and n.grad is None for n in inner)
+    assert all(n.grad is not None for n in leaves)
+
+
+def test_second_backward_through_a_consumed_graph_is_contract_error(desk_step):
+    build = desk_step[0]
+    loss, parts = build()
+    loss.backward()
+    with pytest.raises(ContractError, match="consumed"):
+        loss.backward()
+    with pytest.raises(ContractError, match="consumed"):
+        (parts["id_cls"] * 2.0).backward()
+
+
+def test_held_loss_and_parts_keep_only_the_leaf_gradients(desk_step):
+    build, params, _ = desk_step
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss, parts = build()
+        loss.backward()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    grads = sum(p.grad.nbytes for p in params if p.grad is not None)
+    assert loss is not None and parts["id_cls"] is not None
+    assert held <= grads + 512 * 1024, (held, grads)
