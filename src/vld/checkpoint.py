@@ -27,16 +27,23 @@ _DTYPE_CODES = {
 _CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
 
 
-def save(path, records: dict[str, np.ndarray], atomic: bool = True) -> None:
-    """Write named arrays in iteration order.
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` and rename it onto
+    ``path``, so a process that dies mid-write leaves the old file or the
+    new one, never a half-written one. There is no fsync: this guards
+    against process crashes, not against power loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
-    By default the bytes go to a temporary file beside ``path`` that is
-    then renamed onto it, so a process that dies mid-save leaves the old
-    file or the new one, never a half-written one. There is no fsync: this
-    guards against process crashes, not against power loss. ``atomic=False``
-    writes ``path`` in place, for bulk writers whose files some later
-    write makes valid as a whole.
-    """
+
+def save(path, records: dict[str, np.ndarray]) -> None:
+    """Write named arrays in iteration order, through ``write_atomic``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     chunks = [MAGIC, struct.pack("<H", VERSION)]
@@ -53,16 +60,7 @@ def save(path, records: dict[str, np.ndarray], atomic: bool = True) -> None:
         chunks.append(struct.pack("<BB", _DTYPE_CODES[np.dtype(dt)], arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(payload)
-    if not atomic:
-        path.write_bytes(b"".join(chunks))
-        return
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(b"".join(chunks))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, b"".join(chunks))
 
 
 def load(path) -> dict[str, np.ndarray]:

@@ -1,6 +1,8 @@
 """Synthetic benchmark: determinism, learnability floor, augmentations,
 and the identity-balanced cross-modality sampler."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -120,19 +122,25 @@ def test_every_truncated_manifest_loads_whole_rows_or_is_data_error(tmp_path):
             list(range(max(len(lines) - 1, 0)))
 
 
+@pytest.mark.parametrize("crash_at", ["third tracklet", "meta.cfg",
+                                      "manifest.tsv"])
 def test_generation_cut_short_leaves_no_loadable_dataset(tmp_path,
-                                                         monkeypatch):
+                                                         monkeypatch, crash_at):
+    # Regenerate over a complete dataset, so an old manifest and meta.cfg
+    # are there to be picked up by mistake.
     root = tmp_path / "d"
     generate(SMALL, 1, root)
-    real_save, calls = checkpoint.save, []
+    real_write, calls = checkpoint.write_atomic, []
 
-    def crash_on_third(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 3:
+    def crash(path, data):
+        calls.append(Path(path).name)
+        hit = (len(calls) == 3 if crash_at == "third tracklet"
+               else calls[-1] == crash_at)
+        if hit:
             raise OSError("killed mid-generation")
-        real_save(*args, **kwargs)
+        real_write(path, data)
 
-    monkeypatch.setattr(checkpoint, "save", crash_on_third)
+    monkeypatch.setattr(checkpoint, "write_atomic", crash)
     with pytest.raises(OSError):
         generate(SMALL, 2, root)
     with pytest.raises(DataError, match="no manifest"):
