@@ -7,6 +7,7 @@ little-endian row-major payload). Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -27,79 +28,110 @@ _DTYPE_CODES = {
 _CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path`` and rename it onto
-    ``path``, so a process that dies mid-write leaves the old file or the
-    new one, never a half-written one. There is no fsync: this guards
-    against process crashes, not against power loss."""
+def write_atomic(path, chunks) -> None:
+    """Write the byte chunks to a temporary file beside ``path`` as they
+    are produced, then rename it onto ``path``, so a process that dies
+    mid-write leaves the old file or the new one, never a half-written
+    one. There is no fsync: this guards against process crashes, not
+    against power loss."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def save(path, records: dict[str, np.ndarray]) -> None:
-    """Write named arrays in iteration order, through ``write_atomic``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    chunks = [MAGIC, struct.pack("<H", VERSION)]
-    for name, arr in records.items():
+def _encode(records):
+    yield MAGIC + struct.pack("<H", VERSION)
+    for name, arr in records:
         # np.asarray keeps 0-d records 0-d (ascontiguousarray would not).
         arr = np.asarray(arr, order="C")
         dt = arr.dtype.newbyteorder("<") if arr.dtype.byteorder == ">" else arr.dtype
         if np.dtype(dt) not in _DTYPE_CODES:
             raise ParseError(f"unsupported dtype {arr.dtype} for record {name!r}")
-        payload = arr.astype(dt, copy=False).tobytes()
         name_bytes = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<BB", _DTYPE_CODES[np.dtype(dt)], arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(payload)
-    write_atomic(path, b"".join(chunks))
+        yield (struct.pack("<H", len(name_bytes)) + name_bytes
+               + struct.pack(f"<BB{arr.ndim}I", _DTYPE_CODES[np.dtype(dt)],
+                             arr.ndim, *arr.shape))
+        yield arr.astype(dt, copy=False)
+
+
+def save(path, records) -> None:
+    """Write named arrays in iteration order, through ``write_atomic``.
+
+    ``records`` is a mapping or any iterable of (name, array) pairs; each
+    array is written as it is produced, so a generator never has more
+    than one record alive."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    items = records.items() if hasattr(records, "items") else records
+    write_atomic(path, _encode(items))
+
+
+def index(f, path) -> dict[str, tuple[np.dtype, tuple[int, ...], int]]:
+    """Walk the record headers of the container open as the binary file
+    ``f``, seeking past every payload, and return each record's dtype,
+    shape and payload offset, in file order. No payload byte is read. A
+    malformed container raises ParseError; ``path`` names it."""
+    size = os.fstat(f.fileno()).st_size
+
+    def read(n: int) -> bytes:
+        chunk = f.read(n)
+        if len(chunk) != n:
+            raise ParseError(f"{path}: truncated container")
+        return chunk
+
+    f.seek(0)
+    magic = f.read(4)
+    if magic != MAGIC:
+        raise ParseError(f"{path}: bad magic {magic!r}")
+    (version,) = struct.unpack("<H", read(2))
+    if version != VERSION:
+        raise ParseError(f"{path}: unsupported container version {version}")
+    records = {}
+    offset = 6
+    while offset < size:
+        (name_len,) = struct.unpack("<H", read(2))
+        try:
+            name = read(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: record name is not UTF-8") from exc
+        code, ndim = struct.unpack("<BB", read(2))
+        shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
+        dt = _CODE_DTYPES.get(code)
+        if dt is None:
+            raise ParseError(f"{path}: unknown dtype code {code}")
+        offset += 2 + name_len + 2 + 4 * ndim
+        nbytes = math.prod(shape) * dt.itemsize
+        if offset + nbytes > size:
+            raise ParseError(f"{path}: truncated payload for record {name!r}")
+        records[name] = (dt, shape, offset)
+        offset += nbytes
+        f.seek(offset)
+    return records
 
 
 def load(path) -> dict[str, np.ndarray]:
     """Read all records, preserving file order. A malformed container
     raises ParseError, a missing one DataError."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"container not found: {path}")
-    blob = path.read_bytes()
-    if blob[:4] != MAGIC:
-        raise ParseError(f"{path}: bad magic {blob[:4]!r}")
-    records: dict[str, np.ndarray] = {}
     try:
-        (version,) = struct.unpack_from("<H", blob, 4)
-        if version != VERSION:
-            raise ParseError(f"{path}: unsupported container version {version}")
-        offset = 6
-        while offset < len(blob):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            code, ndim = struct.unpack_from("<BB", blob, offset)
-            offset += 2
-            shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-            offset += 4 * ndim
-            dt = _CODE_DTYPES.get(code)
-            if dt is None:
-                raise ParseError(f"{path}: unknown dtype code {code}")
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-            payload = blob[offset:offset + nbytes]
-            if len(payload) != nbytes:
-                raise ParseError(f"{path}: truncated payload for record {name!r}")
-            offset += nbytes
-            records[name] = np.frombuffer(payload, dtype=dt).reshape(shape).copy()
-    except struct.error as exc:
-        raise ParseError(f"{path}: truncated container") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: record name is not UTF-8") from exc
-    except ValueError as exc:  # reshape: too many or wrapped extents
-        raise ParseError(f"{path}: bad record shape: {exc}") from exc
+        f = open(path, "rb")
+    except FileNotFoundError:
+        raise DataError(f"container not found: {path}") from None
+    records: dict[str, np.ndarray] = {}
+    with f:
+        for name, (dt, shape, offset) in index(f, path).items():
+            try:
+                arr = np.empty(shape, dt)
+            except ValueError as exc:   # more extents than numpy supports
+                raise ParseError(f"{path}: bad record shape: {exc}") from exc
+            f.seek(offset)
+            f.readinto(arr)
+            records[name] = arr
     return records

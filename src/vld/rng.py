@@ -13,8 +13,8 @@ import numpy as np
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
-_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
-_FNV_PRIME = np.uint64(0x100000001B3)
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
 
 _U64_MASK = (1 << 64) - 1
 # Silence numpy's overflow warnings: uint64 wraparound is the point here.
@@ -28,12 +28,30 @@ def _mix(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def _fnv1a(tag: str) -> np.uint64:
+def _fnv1a(tag: str) -> int:
     h = _FNV_OFFSET
-    with np.errstate(**_ERR):
-        for byte in tag.encode("utf-8"):
-            h = (h ^ np.uint64(byte)) * _FNV_PRIME
+    for byte in tag.encode("utf-8"):
+        h = ((h ^ byte) * _FNV_PRIME) & _U64_MASK
     return h
+
+
+def unit_interval(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) with 53-bit resolution, one per word."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def box_muller(words: np.ndarray, n: int) -> np.ndarray:
+    """``n`` standard normals from each row of ``2 * ceil(n / 2)`` words
+    along the last axis: the first half gives u1 (kept strictly
+    positive), the second half u2."""
+    pairs = words.shape[-1] // 2
+    u1 = ((words[..., :pairs] >> np.uint64(11)).astype(np.float64) + 1.0) \
+        * 2.0**-53
+    u2 = unit_interval(words[..., pairs:])
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)],
+                          axis=-1)[..., :n]
 
 
 class Rng:
@@ -46,7 +64,8 @@ class Rng:
 
     def split(self, tag: str) -> "Rng":
         """Derive an independent child stream named by ``tag``."""
-        child_key = _mix(np.asarray(self._key ^ _fnv1a(tag), dtype=np.uint64))
+        child_key = _mix(np.asarray(int(self._key) ^ _fnv1a(tag),
+                                    dtype=np.uint64))
         return Rng(int(self._seed), int(child_key))
 
     def raw(self, n: int) -> np.ndarray:
@@ -60,20 +79,13 @@ class Rng:
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """Doubles in [low, high) with 53-bit resolution."""
         n = int(np.prod(shape)) if shape else 1
-        u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        out = low + (high - low) * u
+        out = low + (high - low) * unit_interval(self.raw(n))
         return out.reshape(shape) if shape else float(out[0])
 
     def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """Gaussian draws via Box-Muller (u1 kept strictly positive)."""
         n = int(np.prod(shape)) if shape else 1
-        pairs = (n + 1) // 2
-        w = self.raw(2 * pairs)
-        u1 = ((w[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (w[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        z = box_muller(self.raw(2 * ((n + 1) // 2)), n)
         out = mean + std * z
         return out.reshape(shape) if shape else float(out[0])
 
@@ -87,12 +99,14 @@ class Rng:
         return int(self.integers(1, bound)[0])
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        order = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
+        """Fisher-Yates permutation of range(n): swap i with word % (i + 1)
+        for i from n - 1 down to 1, one word each."""
+        order = list(range(n))
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1),
+                        (self.raw(len(bounds)) % bounds).tolist()):
             order[i], order[j] = order[j], order[i]
-        return order
+        return np.asarray(order, dtype=np.int64)
 
     def choice(self, n: int, k: int) -> np.ndarray:
         """``k`` distinct indices from range(n); requires k <= n."""

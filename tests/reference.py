@@ -6,12 +6,17 @@ with their own VJPs, the three-projection GEMM, and the head split/merge
 built from reshape and swap_axes. Tests compare the fused nodes against
 them: forwards bit for bit, gradients within 1e-12. ``brute_force_eval``
 is the retrieval oracle ``vld.retrieval.evaluate`` must equal exactly.
+
+The sequential definitions at the end are the ones the vectorised
+``vld.rng`` and ``vld.data`` code replaced: one ``Rng`` call per swap,
+per hashed byte and per frame. Their outputs must be equal bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from vld.data import VISIBLE
 from vld.tensor import (_GELU_C, _GELU_K, _make, as_tensor, linear, matmul,
                         reshape, swap_axes)
 
@@ -142,3 +147,55 @@ def brute_force_eval(queries, gallery):
         precisions = [(k + 1) / (rank + 1) for k, rank in enumerate(good)]
         aps.append(sum(precisions) / len(precisions))
     return np.asarray(cmc) / len(aps), sum(aps) / len(aps)
+
+
+def fnv1a(tag: str) -> np.uint64:
+    """FNV-1a over the UTF-8 bytes of ``tag`` in numpy uint64 arithmetic."""
+    h = np.uint64(0xCBF29CE484222325)
+    with np.errstate(over="ignore"):
+        for byte in tag.encode("utf-8"):
+            h = (h ^ np.uint64(byte)) * np.uint64(0x100000001B3)
+    return h
+
+
+def permutation(rng, n: int) -> np.ndarray:
+    """Fisher-Yates permutation of range(n), one ``randint`` per swap."""
+    order = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = rng.randint(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def render_tracklet(identity, modality, spec, latents, tr_rng):
+    """One frame per step; all but one random clear frame are crossed by a
+    distractor identity's pattern at ``occlusion`` strength (plus extra
+    noise)."""
+    pattern, color, stripe_freq, speed = latents[identity]
+    h, w = spec.image_h, spec.image_w
+    xx = np.linspace(0.0, 1.0, w)[None, :]
+    phase0 = tr_rng.uniform(high=2.0 * np.pi)
+    clear_frame = tr_rng.randint(spec.frames)
+    frames = np.zeros((spec.frames, h, w, 3))
+    for t in range(spec.frames):
+        stripe = np.sin(2.0 * np.pi * stripe_freq * xx + phase0 + t * speed)
+        if t == clear_frame:
+            content = spec.pattern_amp * pattern
+            extra_noise = 1.0
+        else:
+            distractor = (identity + 1 + tr_rng.randint(len(latents) - 1)) \
+                % len(latents)
+            content = spec.pattern_amp * spec.occlusion * latents[distractor][0]
+            extra_noise = 1.5
+        field = 0.5 + content + spec.stripe_amp * np.broadcast_to(stripe, (h, w))
+        if modality == VISIBLE:
+            img = field[:, :, None] * color[None, None, :]
+            img = img + tr_rng.normal((h, w, 3),
+                                      std=spec.noise_visible * extra_noise)
+        else:
+            lum = field * color.mean() * 0.85 + 0.12
+            img = lum[:, :, None] + tr_rng.normal(
+                (h, w, 1), std=spec.noise_infrared * extra_noise)
+            img = np.broadcast_to(img, (h, w, 3))
+        frames[t] = np.clip(img, 0.0, 1.0)
+    return np.round(frames * 255.0).astype(np.uint8)

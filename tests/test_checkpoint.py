@@ -48,6 +48,42 @@ def test_failed_overwrite_keeps_old_file_and_leaves_no_stray(tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["model.vldt"]
 
 
+def test_save_streams_any_iterable_of_pairs(tmp_path):
+    """A generator of pairs writes the same bytes as a mapping, and one
+    that fails mid-stream keeps the old file and leaves no stray."""
+    records = {"a": Rng(5).normal((3, 2)), "b": np.arange(4, dtype=np.uint8)}
+    checkpoint.save(tmp_path / "map.vldt", records)
+    checkpoint.save(tmp_path / "gen.vldt", ((k, v) for k, v in records.items()))
+    old = (tmp_path / "gen.vldt").read_bytes()
+    assert old == (tmp_path / "map.vldt").read_bytes()
+
+    def failing():
+        yield "a", records["a"]
+        raise OSError("killed mid-stream")
+
+    with pytest.raises(OSError, match="mid-stream"):
+        checkpoint.save(tmp_path / "gen.vldt", failing())
+    assert (tmp_path / "gen.vldt").read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.vldt",
+                                                           "map.vldt"]
+
+
+def test_index_locates_every_payload(tmp_path):
+    records = {"w": Rng(6).normal((2, 3)).astype(np.float32),
+               "s": np.array(2.5), "e": np.zeros((0, 4), dtype=np.int64),
+               "f": np.arange(24, dtype=np.uint8).reshape(1, 2, 4, 3)}
+    path = tmp_path / "v.vldt"
+    checkpoint.save(path, records)
+    blob = path.read_bytes()
+    with open(path, "rb") as f:
+        index = checkpoint.index(f, path)
+    assert list(index) == list(records)
+    for name, arr in records.items():
+        dtype, shape, offset = index[name]
+        assert dtype == arr.dtype and shape == arr.shape
+        assert blob[offset:offset + arr.nbytes] == arr.tobytes()
+
+
 def test_header_layout(tmp_path):
     path = tmp_path / "tiny.vldt"
     checkpoint.save(path, {"x": np.zeros(1)})

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +124,21 @@ def test_smoke_training_reduces_loss(tiny_cfg, tmp_path):
     first_epoch = np.mean(losses[:steps_per_epoch])
     last_epoch = np.mean(losses[-steps_per_epoch:])
     assert last_epoch < first_epoch
+
+
+def test_gen_data_writes_three_files_and_rewrites_the_same_bytes(tmp_path):
+    repo = Path(__file__).resolve().parent.parent
+    root = tmp_path / "smoke"
+    command = [sys.executable, "-m", "vld.cli", "gen-data", "--config",
+               str(repo / "configs" / "smoke.cfg"), "--root", str(root)]
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    written = []
+    for _ in range(2):
+        proc = subprocess.run(command, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        written.append({p.name: p.read_bytes() for p in root.iterdir()})
+    assert sorted(written[0]) == ["frames.vldt", "manifest.tsv", "meta.cfg"]
+    assert written[1] == written[0]
 
 
 def test_config_error_exit_code(tmp_path):

@@ -1,17 +1,19 @@
 """Synthetic benchmark: determinism, learnability floor, augmentations,
 and the identity-balanced cross-modality sampler."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vld import checkpoint
-from vld.config import parse_config
+import reference
+from vld import checkpoint, data
+from vld.config import load_config, parse_config
 from vld.data import (BatchPlan, Dataset, SyntheticSpec, Tracklet, augment_clip,
                       channel_erase, channel_swap, generate, hflip,
                       load_dataset, pad_crop, sample_batch, INFRARED, VISIBLE)
-from vld.errors import ConfigError, DataError
+from vld.errors import ConfigError, DataError, ParseError
 from vld.rng import Rng
 from vld.train import configured_precision
 
@@ -43,6 +45,64 @@ def test_generation_is_byte_deterministic(tmp_path):
     c = tmp_path / "c"
     generate(SMALL, seed=2, root=c)
     assert directory_bytes(a) != directory_bytes(c)
+
+
+def test_dataset_root_holds_exactly_three_files(small_dataset):
+    assert sorted(p.name for p in small_dataset.root.iterdir()) == \
+        ["frames.vldt", "manifest.tsv", "meta.cfg"]
+    records = checkpoint.load(small_dataset.root / "frames.vldt")
+    assert list(records) == [f"tr{i:05d}" for i in range(24)]
+
+
+# Frame bytes of the configs/desk.cfg dataset at seed 1, concatenated in
+# tracklet order, as written by the frame-by-frame renderer that the
+# vectorised one replaced (one file per tracklet).
+DESK_SEED1_FRAMES_SHA256 = \
+    "43ec8482153c1233dcd023200bb262c430fbdd629e08837669dc975f668febe4"
+
+
+def test_desk_dataset_frames_are_pinned(tmp_path):
+    spec = load_config(Path(__file__).parent.parent / "configs" / "desk.cfg") \
+        .synthetic_spec()
+    ds = generate(spec, 1, tmp_path / "desk")
+    records = checkpoint.load(ds.root / "frames.vldt")
+    digest = hashlib.sha256()
+    for tracklet in ds.tracklets:
+        digest.update(records[tracklet.record].tobytes())
+    assert len(ds.tracklets) == 240
+    assert digest.hexdigest() == DESK_SEED1_FRAMES_SHA256
+
+
+@pytest.mark.parametrize("spec, seed", [
+    (SyntheticSpec(num_train_identities=3, num_test_identities=1,
+                   tracklets_per_identity=2, frames=1, image_h=7,
+                   image_w=5), 1),
+    (SyntheticSpec(num_train_identities=2, num_test_identities=1,
+                   tracklets_per_identity=3, frames=5, image_h=9, image_w=3,
+                   occlusion=0.5), 2),
+    (SyntheticSpec(num_train_identities=1, num_test_identities=1,
+                   tracklets_per_identity=1, frames=3, image_h=1,
+                   image_w=1), 3),
+    (SyntheticSpec(num_train_identities=4, num_test_identities=3,
+                   tracklets_per_identity=1, frames=7, image_h=16,
+                   image_w=8), 4),
+])
+def test_renderer_equals_frame_by_frame_reference(spec, seed):
+    rng = Rng(seed).split("data-synth")
+    latents = [data._identity_latent(i, spec, rng)
+               for i in range(spec.num_identities)]
+    for identity in range(spec.num_identities):
+        for modality in (VISIBLE, INFRARED):
+            for k in range(spec.tracklets_per_identity):
+                tag = f"tr{identity}/{modality}/{k}"
+                fast, slow = rng.split(tag), rng.split(tag)
+                got = data._render_tracklet(identity, modality, spec,
+                                            latents, fast)
+                want = reference.render_tracklet(identity, modality, spec,
+                                                 latents, slow)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert fast.raw(1).tolist() == slow.raw(1).tolist()
 
 
 def test_tracklet_counting():
@@ -91,9 +151,9 @@ def test_manifest_round_trip(small_dataset):
 
 
 
-MANIFEST = ("tracklet_id\tidentity\tmodality\tcamera\tframe_count\tpath\n"
-            "0\t0\tvisible\t0\t3\ttracklets/tr00000.vldt\n"
-            "1\t0\tinfrared\t2\t3\ttracklets/tr00001.vldt\n")
+MANIFEST = ("tracklet_id\tidentity\tmodality\tcamera\tframe_count\n"
+            "0\t0\tvisible\t0\t3\n"
+            "1\t0\tinfrared\t2\t3\n")
 
 
 def write_manifest(root, text):
@@ -113,7 +173,9 @@ def test_every_truncated_manifest_loads_whole_rows_or_is_data_error(tmp_path):
             with pytest.raises(DataError, match=":1:"):
                 load_dataset(root)
             continue
-        if partial and partial.count("\t") < 5:
+        # Every row ends in a one-digit frame count, so a cut row is either
+        # whole or malformed.
+        if partial and partial not in MANIFEST.splitlines():
             with pytest.raises(DataError, match=f":{len(lines)}:"):
                 load_dataset(root)
             continue
@@ -126,24 +188,41 @@ def test_every_truncated_manifest_loads_whole_rows_or_is_data_error(tmp_path):
                                       "manifest.tsv"])
 def test_generation_cut_short_leaves_no_loadable_dataset(tmp_path,
                                                          monkeypatch, crash_at):
-    # Regenerate over a complete dataset, so an old manifest and meta.cfg
-    # are there to be picked up by mistake.
+    # Regenerate over a complete dataset, so an old manifest, meta.cfg and
+    # frames container are there to be picked up by mistake. Each crash
+    # happens while a temporary file is half written.
     root = tmp_path / "d"
     generate(SMALL, 1, root)
-    real_write, calls = checkpoint.write_atomic, []
+    rendered = []
+    real_render, real_write = data._render_tracklet, checkpoint.write_atomic
 
-    def crash(path, data):
-        calls.append(Path(path).name)
-        hit = (len(calls) == 3 if crash_at == "third tracklet"
-               else calls[-1] == crash_at)
-        if hit:
+    def render(*args):
+        rendered.append(args[0])
+        if crash_at == "third tracklet" and len(rendered) == 3:
             raise OSError("killed mid-generation")
-        real_write(path, data)
+        return real_render(*args)
 
-    monkeypatch.setattr(checkpoint, "write_atomic", crash)
-    with pytest.raises(OSError):
+    def write(path, chunks):
+        def cut():
+            yield from chunks
+            if Path(path).name == crash_at:
+                raise OSError("killed mid-generation")
+        real_write(path, cut())
+
+    monkeypatch.setattr(data, "_render_tracklet", render)
+    monkeypatch.setattr(checkpoint, "write_atomic", write)
+    with pytest.raises(OSError, match="killed"):
         generate(SMALL, 2, root)
+    assert len(rendered) == (3 if crash_at == "third tracklet" else 24)
+    assert not list(root.rglob("*.tmp"))
     with pytest.raises(DataError, match="no manifest"):
+        load_dataset(root)
+
+
+def test_manifest_of_the_per_file_layout_asks_to_regenerate(tmp_path):
+    old = MANIFEST.replace("frame_count\n", "frame_count\tpath\n")
+    root = write_manifest(tmp_path / "d", old)
+    with pytest.raises(DataError, match="re-run `vld gen-data`"):
         load_dataset(root)
 
 
@@ -212,9 +291,9 @@ def test_single_precision_frames_equal_rounded_double_frames(tmp_path):
     """Each of the 256 pixel values loads in float32 as its float64 value
     rounded to float32, so the model input does not depend on the path."""
     values = np.arange(256, dtype=np.uint8).reshape(1, 16, 16, 1)
-    checkpoint.save(tmp_path / "all.vldt",
-                    {"frames": np.repeat(values, 3, axis=3)})
-    tracklet = Tracklet(0, 0, VISIBLE, 0, 1, "all.vldt")
+    tracklet = Tracklet(0, 0, VISIBLE, 0, 1)
+    checkpoint.save(tmp_path / "frames.vldt",
+                    {tracklet.record: np.repeat(values, 3, axis=3)})
     ds = Dataset(tmp_path, [tracklet], 1)
     double = ds.load_frames(tracklet)
     with configured_precision(parse_config("train.precision = single")):
@@ -236,10 +315,80 @@ def test_load_frames_returns_a_fresh_array_each_read(small_dataset):
 
 def test_tracklet_file_without_frames_record_is_data_error(tmp_path):
     """A container cut right after its header is well formed but empty."""
-    (tmp_path / "empty.vldt").write_bytes(b"VLDT\x01\x00")
-    tracklet = Tracklet(0, 0, VISIBLE, 0, 1, "empty.vldt")
-    with pytest.raises(DataError):
+    (tmp_path / "frames.vldt").write_bytes(b"VLDT\x01\x00")
+    tracklet = Tracklet(0, 0, VISIBLE, 0, 1)
+    with pytest.raises(DataError, match="tracklet 0"):
         Dataset(tmp_path, [tracklet], 1).load_frames(tracklet)
+
+
+@pytest.mark.parametrize("stored", [
+    np.zeros((2, 4, 4, 3), dtype=np.uint8),    # fewer frames than listed
+    np.zeros((4, 4, 4, 3), dtype=np.uint8),    # more frames than listed
+    np.zeros((3, 4, 4, 3)),                    # float64, not uint8
+    np.zeros((3, 4, 4, 1), dtype=np.uint8),    # one band
+    np.zeros((3, 48), dtype=np.uint8),         # flattened
+])
+def test_malformed_tracklet_record_is_data_error(tmp_path, stored):
+    tracklet = Tracklet(7, 0, VISIBLE, 0, 3)
+    checkpoint.save(tmp_path / "frames.vldt", {tracklet.record: stored})
+    with pytest.raises(DataError, match="tracklet 7"):
+        Dataset(tmp_path, [tracklet], 1).load_frames(tracklet)
+
+
+def test_missing_frames_container_is_data_error(tmp_path):
+    root = write_manifest(tmp_path / "d", MANIFEST)
+    ds = load_dataset(root)
+    with pytest.raises(DataError, match="frames.vldt"):
+        ds.load_frames(ds.tracklets[0])
+
+
+def _three_tracklet_container(root):
+    """A dataset of three 2-frame tracklets, its frames.vldt bytes, and the
+    byte positions of every header field of the container."""
+    tracklets = [Tracklet(i, 0, (VISIBLE, INFRARED)[i % 2], 0, 2)
+                 for i in range(3)]
+    write_manifest(root, data.MANIFEST_HEADER + "\n" + "".join(
+        f"{t.tracklet_id}\t{t.identity}\t{t.modality}\t{t.camera}"
+        f"\t{t.frame_count}\n" for t in tracklets))
+    frames = (Rng(3).uniform((3, 2, 4, 2, 3)) * 255).astype(np.uint8)
+    checkpoint.save(root / "frames.vldt",
+                    [(t.record, f) for t, f in zip(tracklets, frames)])
+    blob = (root / "frames.vldt").read_bytes()
+    header, offset = list(range(6)), 6   # magic, version
+    for f in frames:
+        # name length u16, name, dtype code u8, ndim u8, extents u32 each
+        head = 2 + len("tr00000") + 2 + 4 * f.ndim
+        header.extend(range(offset, offset + head))
+        offset += head + f.nbytes
+    assert offset == len(blob)
+    return blob, header
+
+
+def _load_every_tracklet(root):
+    ds = load_dataset(root)
+    for tracklet in ds.tracklets:
+        ds.load_frames(tracklet)
+
+
+def test_every_prefix_of_the_frames_container_is_rejected(tmp_path):
+    root = tmp_path / "d"
+    blob, _ = _three_tracklet_container(root)
+    _load_every_tracklet(root)
+    for n in range(len(blob)):
+        (root / "frames.vldt").write_bytes(blob[:n])
+        with pytest.raises((ParseError, DataError)):
+            _load_every_tracklet(root)
+
+
+def test_every_frames_header_byte_set_to_ff_is_rejected(tmp_path):
+    root = tmp_path / "d"
+    blob, header = _three_tracklet_container(root)
+    for pos in header:
+        corrupt = bytearray(blob)
+        corrupt[pos] = 0xFF
+        (root / "frames.vldt").write_bytes(bytes(corrupt))
+        with pytest.raises((ParseError, DataError)):
+            _load_every_tracklet(root)
 
 
 # -- augmentation ---------------------------------------------------------------

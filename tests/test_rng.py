@@ -1,8 +1,10 @@
 """Counter-based generator: determinism, ranges, and stream independence."""
 
 import numpy as np
+import pytest
 
-from vld.rng import Rng
+import reference
+from vld.rng import Rng, _fnv1a, _mix
 
 
 def test_same_seed_same_stream():
@@ -70,3 +72,28 @@ def test_split_ignores_parent_counter():
     root.raw(100)
     after = root.split("x").raw(2)
     np.testing.assert_array_equal(before, after)
+
+
+@pytest.mark.parametrize("prior", [0, 7])
+def test_permutation_equals_one_randint_per_swap(prior):
+    """Same output and same counter as the sequential definition, for
+    every n up to 40 and after earlier draws."""
+    fast, slow = Rng(11).split("perm"), Rng(11).split("perm")
+    fast.raw(prior)
+    slow.raw(prior)
+    for n in range(41):
+        np.testing.assert_array_equal(fast.permutation(n),
+                                      reference.permutation(slow, n))
+        assert fast.permutation(n).dtype == np.int64
+        reference.permutation(slow, n)
+        assert fast.raw(1).tolist() == slow.raw(1).tolist()
+
+
+@pytest.mark.parametrize("tag", ["", "a", "data-synth", "tr12/infrared/3",
+                                 "identity119", "λ", "名前/赤外線", "\x00\xff",
+                                 "x" * 200])
+def test_fnv1a_equals_uint64_definition(tag):
+    assert _fnv1a(tag) == int(reference.fnv1a(tag))
+    key = np.uint64(0xDEADBEEF)
+    assert Rng(5, key=int(key)).split(tag)._key == \
+        _mix(np.asarray(key ^ reference.fnv1a(tag), dtype=np.uint64))
