@@ -21,6 +21,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
+from . import checkpoint
 from .config import RunConfig, default_config, load_config, write_config
 from .data import generate, load_dataset
 from .errors import (ConfigError, DataError, DivergenceError, ParseError,
@@ -66,7 +67,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from . import checkpoint
     from .train import (TrainingHeads, build_model, configured_precision,
                         evaluate_model, load_into)
     cfg = _load(args)
@@ -93,8 +93,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from .train import hub_enabled
     cfg = _load(args)
-    stp = cfg["stp.enabled"] and not args.no_stp
+    stp = hub_enabled(cfg) and not args.no_stp
     report = cost_report(cfg.encoder_config(), cfg["data.frames"], stp,
                          cfg["stp.insertion_layer"])
     text = format_report(report)
@@ -102,9 +103,10 @@ def cmd_profile(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "cost_report.txt").write_text(text)
-        (out / "cost_report.json").write_text(
-            json.dumps(report_json(report), indent=2, sort_keys=True) + "\n")
+        checkpoint.write_atomic(out / "cost_report.txt", [text.encode()])
+        checkpoint.write_atomic(out / "cost_report.json", [
+            (json.dumps(report_json(report), indent=2, sort_keys=True)
+             + "\n").encode()])
     return 0
 
 
@@ -160,8 +162,7 @@ def cmd_plot(args) -> int:
     for path in args.csv:
         ranks, values = load_cmc_csv(path)
         curves.append((Path(path).stem, ranks, values))
-    svg = render_cmc_svg(curves)
-    Path(args.out).write_text(svg)
+    checkpoint.write_atomic(args.out, [render_cmc_svg(curves).encode()])
     print(f"plot written to {args.out}")
     return 0
 

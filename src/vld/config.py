@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import checkpoint
 from .data import BatchPlan, SyntheticSpec
 from .encoder import EncoderConfig
 from .errors import ConfigError
@@ -191,4 +192,4 @@ def load_config(path) -> RunConfig:
 
 def write_config(cfg: RunConfig, path) -> None:
     lines = [f"{key} = {_format_value(cfg.values[key])}" for key in SCHEMA]
-    Path(path).write_text("\n".join(lines) + "\n")
+    checkpoint.write_atomic(path, [("\n".join(lines) + "\n").encode()])

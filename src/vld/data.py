@@ -20,7 +20,9 @@ On disk, a dataset root holds three files:
   modality, camera, frame count), written last, so a dataset loads only
   once every other file is complete.
 
-Frames are normalized to [0, 1] on load.
+Frames stay in their stored form, uint8 [T, H, W, 3], through loading,
+augmentation and batching; ``vld.hub.VideoModel.forward`` decodes each
+batch to [0, 1].
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 from . import checkpoint
 from .errors import ConfigError, DataError, ParseError
 from .rng import Rng, box_muller, unit_interval
-from .tensor import default_dtype
 
 VISIBLE = "visible"
 INFRARED = "infrared"
@@ -103,16 +104,15 @@ class Dataset:
         return [t for t in self.tracklets if t.identity >= self.num_train_identities]
 
     def load_frames(self, tracklet: Tracklet) -> np.ndarray:
-        """[T, H, W, 3] in [0, 1] in the default dtype, as a fresh array.
+        """The tracklet's stored uint8 frames [T, H, W, 3].
 
-        The stored uint8 frames are read once per tracklet and decoded into
-        the default dtype on every read, so one cached copy serves both
-        precisions. In float32 every value equals the float64 value
-        rounded."""
+        They are read once per tracklet and cached read-only, so every read
+        returns the same array and no caller can change the cache."""
         raw = self._raw.get(tracklet.tracklet_id)
         if raw is None:
             raw = self._raw[tracklet.tracklet_id] = self._read_record(tracklet)
-        return raw.astype(default_dtype()) / 255.0
+            raw.flags.writeable = False
+        return raw
 
     def _read_record(self, tracklet: Tracklet) -> np.ndarray:
         """The tracklet's stored frames, read by offset from
@@ -313,33 +313,6 @@ def load_dataset(root) -> Dataset:
     return Dataset(root, rows, num_train)
 
 
-# -- augmentation -------------------------------------------------------------
-
-
-def hflip(frame: np.ndarray) -> np.ndarray:
-    return frame[:, ::-1, :].copy()
-
-
-def pad_crop(frame: np.ndarray, offset_y: int, offset_x: int,
-             pad: int = 10) -> np.ndarray:
-    """Zero-pad by ``pad`` on every side, then crop back to the original size
-    at the given offset; offset == pad is the identity crop."""
-    h, w, c = frame.shape
-    padded = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=frame.dtype)
-    padded[pad:pad + h, pad:pad + w] = frame
-    return padded[offset_y:offset_y + h, offset_x:offset_x + w].copy()
-
-
-def channel_erase(frame: np.ndarray, channel: int) -> np.ndarray:
-    out = frame.copy()
-    out[:, :, channel] = 0.0
-    return out
-
-
-def channel_swap(frame: np.ndarray, perm) -> np.ndarray:
-    return frame[:, :, list(perm)].copy()
-
-
 # -- batch sampling -----------------------------------------------------------
 
 
@@ -355,10 +328,9 @@ class BatchPlan:
 
 @dataclass
 class SequenceBatch:
-    frames: np.ndarray        # [n, T, H, W, 3] in the default dtype
+    frames: np.ndarray        # [n, T, H, W, 3] stored uint8
     labels: np.ndarray        # [n] identity indices
     modalities: np.ndarray    # [n] strings
-    cameras: np.ndarray       # [n]
     tracklet_ids: np.ndarray  # [n]
 
 
@@ -393,43 +365,35 @@ def sample_batch(plan: BatchPlan, dataset: Dataset, tracklets: list[Tracklet],
                 idx = rng.integers(k, len(pool))
             picked.extend(pool[int(i)] for i in idx)
 
-    frames, labels, modalities, cameras, ids = [], [], [], [], []
-    for tr in picked:
-        clip = dataset.load_frames(tr)
-        if apply_augment:
-            clip = augment_clip(clip, rng, tr.modality == VISIBLE, pad=pad)
-        frames.append(clip)
-        labels.append(tr.identity)
-        modalities.append(tr.modality)
-        cameras.append(tr.camera)
-        ids.append(tr.tracklet_id)
-    return SequenceBatch(np.stack(frames), np.asarray(labels),
-                         np.asarray(modalities), np.asarray(cameras),
-                         np.asarray(ids))
+    clips = [dataset.load_frames(tr) for tr in picked]
+    if apply_augment:
+        clips = [augment_clip(clip, rng, tr.modality == VISIBLE, pad=pad)
+                 for clip, tr in zip(clips, picked)]
+    return SequenceBatch(np.stack(clips),
+                         np.asarray([tr.identity for tr in picked]),
+                         np.asarray([tr.modality for tr in picked]),
+                         np.asarray([tr.tracklet_id for tr in picked]))
 
 
 def augment_clip(clip: np.ndarray, rng: Rng, visible: bool,
                  pad: int = 10) -> np.ndarray:
     """Tracklet-consistent augmentation: decisions are drawn once and applied
-    to every frame so the cross-frame signal survives."""
+    to every frame so the cross-frame signal survives. Flip, crop from the
+    clip zero-padded by ``pad``, then on visible clips erase and swap."""
     flip = rng.uniform() < 0.5
     oy = rng.randint(2 * pad + 1)
     ox = rng.randint(2 * pad + 1)
-    erase = swap = False
-    erase_ch, perm = 0, (0, 1, 2)
+    t, h, w, c = clip.shape
+    padded = np.zeros((t, h + 2 * pad, w + 2 * pad, c), clip.dtype)
+    padded[:, pad:pad + h, pad:pad + w] = clip[:, :, ::-1] if flip else clip
+    out = padded[:, oy:oy + h, ox:ox + w]
     if visible:
         erase = rng.uniform() < 0.5
         erase_ch = rng.randint(3)
         swap = rng.uniform() < 0.5
-        perm = tuple(rng.permutation(3))
-    out = []
-    for frame in clip:
-        if flip:
-            frame = hflip(frame)
-        frame = pad_crop(frame, oy, ox, pad=pad)
+        perm = rng.permutation(3)
         if erase:
-            frame = channel_erase(frame, erase_ch)
+            out[..., erase_ch] = 0
         if swap:
-            frame = channel_swap(frame, perm)
-        out.append(frame)
-    return np.stack(out)
+            out = out[..., perm]
+    return out

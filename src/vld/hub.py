@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import AttentionWeights, multi_head_attention
-from .encoder import EncoderConfig
-from .errors import ConfigError
+from .encoder import EncoderConfig, VisionEncoder
+from .errors import ConfigError, DataError
 from .rng import Rng
 from .tensor import (Tensor, broadcast_to, concat, layer_norm, reshape,
                      sorted_mean, swap_axes)
@@ -95,7 +95,6 @@ class VideoModel:
 
     def __init__(self, cfg: EncoderConfig, frames: int, rng: Rng,
                  use_hub: bool, insertion_layer: int):
-        from .encoder import VisionEncoder
         self.cfg = cfg
         self.frames = frames
         self.encoder = VisionEncoder(cfg, rng.split("encoder"))
@@ -106,17 +105,22 @@ class VideoModel:
                                    rng.split("hub"))
             self.readout = HubReadout(cfg.dim, cfg.heads, rng.split("readout"))
 
-    def forward(self, frames, hub_feature: bool = True):
-        """Returns (sequence [B,D], hub sequence [B,D] or None, encode output).
+    def forward(self, frames: np.ndarray, hub_feature: bool = True):
+        """Stored uint8 frames [B,T,H,W,3], decoded here to [0, 1] in the
+        default dtype -> (sequence [B,D], hub sequence [B,D] or None).
 
         With ``hub_feature`` false the final layer's hub rows are not
         computed and the readout does not run, so the hub sequence is None.
         """
-        out = self.encoder.encode(frames, hub=self.hub, hub_rows=hub_feature)
+        frames = np.asarray(frames)
+        if frames.dtype != np.uint8:   # decoded frames would be decoded again
+            raise DataError(f"expected stored uint8 frames, got {frames.dtype}")
+        out = self.encoder.encode(Tensor(frames) / 255.0, hub=self.hub,
+                                  hub_rows=hub_feature)
         hub_seq = None
         if out.hub_block is not None:
             _, hub_seq = self.readout(out.frame_features, out.hub_block)
-        return out.sequence, hub_seq, out
+        return out.sequence, hub_seq
 
     def named_parameters(self):
         yield from self.encoder.named_parameters()

@@ -14,9 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint
 from .data import Dataset, Tracklet
 from .errors import DataError, ParseError
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
+
+EXTRACT_BATCH = 16
 
 
 @dataclass
@@ -40,8 +43,7 @@ class RetrievalReport:
 
 
 def extract_features(model, dataset: Dataset, tracklets: list[Tracklet],
-                     use_hub_feature: bool = False,
-                     batch_size: int = 16) -> GalleryIndex:
+                     use_hub_feature: bool = False) -> GalleryIndex:
     """One unit-normalized row per tracklet, in the given order.
 
     The row is the hub readout's sequence feature when ``use_hub_feature``
@@ -53,11 +55,10 @@ def extract_features(model, dataset: Dataset, tracklets: list[Tracklet],
     """
     feats = []
     with no_grad():
-        for start in range(0, len(tracklets), batch_size):
-            chunk = tracklets[start:start + batch_size]
+        for start in range(0, len(tracklets), EXTRACT_BATCH):
+            chunk = tracklets[start:start + EXTRACT_BATCH]
             frames = np.stack([dataset.load_frames(t) for t in chunk])
-            seq, hub_seq, _ = model.forward(Tensor(frames),
-                                            hub_feature=use_hub_feature)
+            seq, hub_seq = model.forward(frames, hub_feature=use_hub_feature)
             out = seq if hub_seq is None else hub_seq
             feats.append(out.data)
     features = (np.concatenate(feats, axis=0, dtype=np.float64) if feats
@@ -119,11 +120,12 @@ def save_report(report: RetrievalReport, json_path, csv_path) -> None:
         "num_queries": report.num_queries,
         "num_skipped": report.num_skipped,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    checkpoint.write_atomic(json_path, [
+        (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
     lines = ["rank,value"]
     for i, value in enumerate(report.cmc, start=1):
         lines.append(f"{i},{float(value)!r}")
-    Path(csv_path).write_text("\n".join(lines) + "\n")
+    checkpoint.write_atomic(csv_path, [("\n".join(lines) + "\n").encode()])
 
 
 def load_cmc_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,8 @@ Tensors take the process default dtype, float64 unless
 built directly have double-precision headroom. Training and evaluation
 run in float32 by default: ``vld.train.configured_precision`` makes the
 run's ``train.precision`` (``single`` unless a config says ``double``)
-the default for the run only. Retrieval ranks in float64 whatever the
+the default for the run only; ``vld.hub.VideoModel.forward`` decodes the
+stored uint8 frames into it. Retrieval ranks in float64 whatever the
 model's precision.
 
 Backward consumes its graph. As it passes each non-leaf node it drops
@@ -304,17 +305,6 @@ def texp(a) -> Tensor:
     a = as_tensor(a)
     data = np.exp(a.data)
     return _make(data, (a,), lambda g: (g * data,))
-
-
-def tlog(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def ttanh(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.tanh(a.data)
-    return _make(data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
 def tsqrt(a) -> Tensor:

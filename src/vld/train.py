@@ -118,7 +118,7 @@ def load_into(model: VideoModel, heads: TrainingHeads, path) -> None:
 def compute_losses(cfg: RunConfig, model: VideoModel, heads: TrainingHeads,
                    frames: np.ndarray, labels: np.ndarray) -> dict:
     """Forward one mixed-modality batch and return named loss parts."""
-    seq, hub_seq, _ = model.forward(Tensor(frames))
+    seq, hub_seq = model.forward(frames)
     parts = {
         "id_cls": identity_cross_entropy(seq, labels, heads.id_head_cls),
         "wrt_cls": weighted_regularized_triplet(seq, labels),
@@ -261,7 +261,8 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
                                 checkpoint_records(model, heads))
             checkpoint.save(out / "last.vldt", checkpoint_records(model, heads))
     except DivergenceError:
-        metrics_path.write_text("\n".join(lines) + "\n")
+        checkpoint.write_atomic(metrics_path,
+                                [("\n".join(lines) + "\n").encode()])
         raise
 
     checkpoint.save(out / "final.vldt", checkpoint_records(model, heads))
@@ -270,7 +271,7 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
         reports, _, _ = evaluate_model(cfg, model, dataset, direction)
     for name, report in reports.items():
         save_report(report, out / f"report_{name}.json", out / f"cmc_{name}.csv")
-    metrics_path.write_text("\n".join(lines) + "\n")
+    checkpoint.write_atomic(metrics_path, [("\n".join(lines) + "\n").encode()])
     return {
         "epoch_losses": epoch_losses,
         "best_map": best_map,

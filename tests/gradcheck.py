@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, no_grad
+from vld.tensor import Tensor, no_grad
 
 
 def numeric_gradient(f, param: Tensor, h: float = 1e-5) -> np.ndarray:

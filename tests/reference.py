@@ -6,10 +6,12 @@ with their own VJPs, the three-projection GEMM, and the head split/merge
 built from reshape and swap_axes. Tests compare the fused nodes against
 them: forwards bit for bit, gradients within 1e-12. ``brute_force_eval``
 is the retrieval oracle ``vld.retrieval.evaluate`` must equal exactly.
+``tlog`` and ``ttanh`` are elementwise ops only the gradient tests use.
 
 The sequential definitions at the end are the ones the vectorised
 ``vld.rng`` and ``vld.data`` code replaced: one ``Rng`` call per swap,
-per hashed byte and per frame. Their outputs must be equal bit for bit.
+per hashed byte and per frame, and augmentation applied frame by frame
+to decoded float frames. Their outputs must be equal bit for bit.
 """
 
 import math
@@ -44,6 +46,17 @@ def gelu(a):
         return (local,)
 
     return _make(data, (a,), vjp)
+
+
+def tlog(a):
+    a = as_tensor(a)
+    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def ttanh(a):
+    a = as_tensor(a)
+    data = np.tanh(a.data)
+    return _make(data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
 def softmax(a, axis: int = -1):
@@ -199,3 +212,52 @@ def render_tracklet(identity, modality, spec, latents, tr_rng):
             img = np.broadcast_to(img, (h, w, 3))
         frames[t] = np.clip(img, 0.0, 1.0)
     return np.round(frames * 255.0).astype(np.uint8)
+
+
+def hflip(frame):
+    return frame[:, ::-1, :].copy()
+
+
+def pad_crop(frame, offset_y, offset_x, pad=10):
+    """Zero-pad by ``pad`` on every side, then crop back to the original size
+    at the given offset; offset == pad is the identity crop."""
+    h, w, c = frame.shape
+    padded = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=frame.dtype)
+    padded[pad:pad + h, pad:pad + w] = frame
+    return padded[offset_y:offset_y + h, offset_x:offset_x + w].copy()
+
+
+def channel_erase(frame, channel):
+    out = frame.copy()
+    out[:, :, channel] = 0.0
+    return out
+
+
+def channel_swap(frame, perm):
+    return frame[:, :, list(perm)].copy()
+
+
+def augment_clip(clip, rng, visible, pad=10):
+    """Decisions drawn once per tracklet, then applied frame by frame to
+    decoded float frames."""
+    flip = rng.uniform() < 0.5
+    oy = rng.randint(2 * pad + 1)
+    ox = rng.randint(2 * pad + 1)
+    erase = swap = False
+    erase_ch, perm = 0, (0, 1, 2)
+    if visible:
+        erase = rng.uniform() < 0.5
+        erase_ch = rng.randint(3)
+        swap = rng.uniform() < 0.5
+        perm = tuple(rng.permutation(3))
+    out = []
+    for frame in clip:
+        if flip:
+            frame = hflip(frame)
+        frame = pad_crop(frame, oy, ox, pad=pad)
+        if erase:
+            frame = channel_erase(frame, erase_ch)
+        if swap:
+            frame = channel_swap(frame, perm)
+        out.append(frame)
+    return np.stack(out)

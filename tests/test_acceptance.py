@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import brute_force_eval
+from gradcheck import check_gradients
+from reference import brute_force_eval, tlog, ttanh
 from util import tiny_e2e_problem
 from vld.config import load_config
 from vld.encoder import EncoderConfig, VisionEncoder
-from vld.gradcheck import check_gradients
 from vld.hub import TemporalHub
 from vld.losses import cross_entropy_from_logits, weighted_regularized_triplet
 from vld.prompts import FrozenTextEncoder, PromptBank
@@ -24,8 +24,7 @@ from vld.profiler import cost_report, format_report
 from vld.rng import Rng
 from vld.tensor import (Tensor, attention, broadcast_to, clamp_max, concat,
                         div, layer_norm, linear, logsumexp, matmul, mlp,
-                        reshape, softplus, sorted_mean, texp, tlog, transpose,
-                        tsqrt, ttanh)
+                        reshape, softplus, sorted_mean, texp, transpose, tsqrt)
 from vld.train import train
 
 PAPER_CFG = EncoderConfig(image_h=288, image_w=144, patch=16, depth=12,

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from gradcheck import check_gradients
 from reference import composite_attention
 from vld.attention import AttentionWeights, multi_head_attention
 from vld.errors import ConfigError
-from vld.gradcheck import check_gradients
 from vld.rng import Rng
 from vld.tensor import Tensor, matmul
 

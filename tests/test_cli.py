@@ -187,6 +187,28 @@ def test_profile_no_stp_zero_delta(tiny_cfg, tmp_path):
     assert payload["stp_flops_delta"] == 0
 
 
+@pytest.mark.parametrize("stp", [True, False])
+@pytest.mark.parametrize("layer", range(5))
+def test_profile_counts_the_parameters_of_the_built_model(tmp_path, layer,
+                                                           stp):
+    """Insertion layer = depth is the documented hub-off setting: the
+    profile then counts no hub or readout, like the model it describes."""
+    from vld.config import load_config
+    from vld.rng import Rng
+    from vld.train import build_model
+    path = tmp_path / "p.cfg"
+    path.write_text(TINY_TEXT.replace("encoder.depth = 2", "encoder.depth = 4")
+                    .replace("stp.insertion_layer = 0",
+                             f"stp.insertion_layer = {layer}")
+                    + f"stp.enabled = {str(stp).lower()}\n")
+    assert main(["profile", "--config", str(path),
+                 "--out", str(tmp_path / "prof")]) == 0
+    payload = json.loads((tmp_path / "prof" / "cost_report.json").read_text())
+    model = build_model(load_config(path).validate(), Rng(1))
+    assert payload["params_total"] == sum(p.size for _, p
+                                          in model.named_parameters())
+
+
 def test_plot_flat_line_and_determinism(tmp_path):
     csv = tmp_path / "perfect.csv"
     csv.write_text("rank,value\n" + "\n".join(f"{i},1.0" for i in range(1, 6)) + "\n")

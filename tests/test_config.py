@@ -2,6 +2,7 @@
 
 import pytest
 
+from vld import checkpoint
 from vld.config import default_config, load_config, parse_config, write_config
 from vld.errors import ConfigError
 
@@ -71,6 +72,24 @@ def test_write_and_reload_round_trip(tmp_path):
     write_config(cfg, path)
     again = load_config(path)
     assert again.values == cfg.values
+
+
+def test_failed_overwrite_keeps_old_config_and_leaves_no_stray(tmp_path,
+                                                               monkeypatch):
+    path = tmp_path / "resolved.cfg"
+    write_config(default_config(), path)
+    old = path.read_bytes()
+    cfg = default_config()
+    cfg.values["encoder.dim"] = 48
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(checkpoint.os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write_config(cfg, path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["resolved.cfg"]
 
 
 def test_missing_file_is_config_error():

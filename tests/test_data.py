@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import reference
+from util import random_frames
 from vld import checkpoint, data
 from vld.config import load_config, parse_config
 from vld.data import (BatchPlan, Dataset, SyntheticSpec, Tracklet, augment_clip,
-                      channel_erase, channel_swap, generate, hflip,
-                      load_dataset, pad_crop, sample_batch, INFRARED, VISIBLE)
+                      generate, load_dataset, sample_batch, INFRARED, VISIBLE)
+from vld.encoder import EncoderConfig
 from vld.errors import ConfigError, DataError, ParseError
+from vld.hub import VideoModel
 from vld.rng import Rng
 from vld.train import configured_precision
 
@@ -131,7 +133,7 @@ def test_frames_shape_and_range(small_dataset):
     ds = small_dataset
     frames = ds.load_frames(ds.tracklets[0])
     assert frames.shape == (3, 16, 8, 3)
-    assert frames.min() >= 0.0 and frames.max() <= 1.0
+    assert frames.dtype == np.uint8    # stored pixels, decoded in forward
 
 
 def test_infrared_is_single_band(small_dataset):
@@ -288,27 +290,45 @@ def test_cross_modal_correlation_floor(tmp_path):
 
 
 def test_single_precision_frames_equal_rounded_double_frames(tmp_path):
-    """Each of the 256 pixel values loads in float32 as its float64 value
+    """Each of the 256 pixel values decodes in float32 as its float64 value
     rounded to float32, so the model input does not depend on the path."""
     values = np.arange(256, dtype=np.uint8).reshape(1, 16, 16, 1)
     tracklet = Tracklet(0, 0, VISIBLE, 0, 1)
     checkpoint.save(tmp_path / "frames.vldt",
                     {tracklet.record: np.repeat(values, 3, axis=3)})
-    ds = Dataset(tmp_path, [tracklet], 1)
-    double = ds.load_frames(tracklet)
+    frames = Dataset(tmp_path, [tracklet], 1).load_frames(tracklet)[None]
+    model = VideoModel(EncoderConfig(image_h=16, image_w=16, patch=8,
+                                     depth=1, dim=8, heads=2),
+                       frames=1, rng=Rng(1), use_hub=False, insertion_layer=1)
+    decoded = []
+    encode = model.encoder.encode
+
+    def recording_encode(x, **kwargs):
+        decoded.append(x.data)
+        return encode(x, **kwargs)
+
+    model.encoder.encode = recording_encode
+    model.forward(frames)
     with configured_precision(parse_config("train.precision = single")):
-        single = ds.load_frames(tracklet)
+        model.forward(frames)
+    model.forward(frames)
+    double, single, again = decoded
     assert double.dtype == np.float64 and single.dtype == np.float32
+    np.testing.assert_array_equal(double.reshape(-1)[::3],
+                                  np.arange(256) / 255.0)
     np.testing.assert_array_equal(single, double.astype(np.float32))
-    assert ds.load_frames(tracklet).dtype == np.float64
+    assert again.dtype == np.float64
 
 
-def test_load_frames_returns_a_fresh_array_each_read(small_dataset):
-    """Writing into one read's array must not reach the cached frames."""
+def test_load_frames_returns_the_cached_frames_read_only(small_dataset):
+    """Stored uint8 frames, read-only, so no caller can write into the
+    cache; a second read returns the same values."""
     tracklet = small_dataset.tracklets[0]
     first = small_dataset.load_frames(tracklet)
     original = first.copy()
-    first[...] = -1.0
+    assert first.dtype == np.uint8 and not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[...] = 0
     np.testing.assert_array_equal(small_dataset.load_frames(tracklet),
                                   original)
 
@@ -394,44 +414,70 @@ def test_every_frames_header_byte_set_to_ff_is_rejected(tmp_path):
 # -- augmentation ---------------------------------------------------------------
 
 
+# The per-frame float helpers are the reference ``augment_clip`` is held
+# to; these pin their properties.
+
+
 def test_flip_is_involution():
     frame = Rng(4).uniform((8, 6, 3))
-    np.testing.assert_array_equal(hflip(hflip(frame)), frame)
+    np.testing.assert_array_equal(reference.hflip(reference.hflip(frame)),
+                                  frame)
 
 
 def test_center_crop_is_identity():
     frame = Rng(5).uniform((8, 6, 3))
-    np.testing.assert_array_equal(pad_crop(frame, 10, 10, pad=10), frame)
+    np.testing.assert_array_equal(reference.pad_crop(frame, 10, 10, pad=10),
+                                  frame)
 
 
 def test_pad_crop_shifts_content():
     frame = np.zeros((6, 6, 3))
     frame[2, 3, :] = 1.0
-    shifted = pad_crop(frame, 9, 10, pad=10)
+    shifted = reference.pad_crop(frame, 9, 10, pad=10)
     assert shifted[3, 3, 0] == 1.0
 
 
 def test_channel_swap_identity_on_equal_channels():
     mono = np.repeat(Rng(6).uniform((8, 6, 1)), 3, axis=2)
-    np.testing.assert_array_equal(channel_swap(mono, (2, 0, 1)), mono)
+    np.testing.assert_array_equal(reference.channel_swap(mono, (2, 0, 1)),
+                                  mono)
 
 
 def test_channel_erase_zeroes_one_channel():
     frame = Rng(7).uniform((4, 4, 3))
-    erased = channel_erase(frame, 1)
+    erased = reference.channel_erase(frame, 1)
     assert (erased[:, :, 1] == 0).all()
     np.testing.assert_array_equal(erased[:, :, 0], frame[:, :, 0])
 
 
+@pytest.mark.parametrize("frames", [1, 4])
+@pytest.mark.parametrize("pad", [0, 1, 3, 10])
+def test_augment_clip_equals_per_frame_float_reference(pad, frames):
+    """The whole-clip uint8 augmentation, decoded, equals the per-frame
+    helpers on decoded frames byte for byte in both precisions, and draws
+    the same words."""
+    for seed in range(40):
+        clip = random_frames(seed, (frames, 9, 5, 3))
+        for visible in (True, False):
+            fast, slow = Rng(1000 + seed), Rng(1000 + seed)
+            got = augment_clip(clip, fast, visible, pad=pad)
+            assert got.dtype == np.uint8 and got.shape == clip.shape
+            want = reference.augment_clip(clip / 255.0, slow, visible, pad=pad)
+            assert (got / 255.0).tobytes() == want.tobytes()
+            assert fast.raw(1).tolist() == slow.raw(1).tolist()
+            single = got.astype(np.float32) / 255.0
+            assert single.tobytes() == want.astype(np.float32).tobytes()
+
+
 def test_augment_is_deterministic_given_stream():
-    clip = Rng(8).uniform((3, 16, 8, 3))
+    clip = random_frames(8, (3, 16, 8, 3))
     a = augment_clip(clip, Rng(9), visible=True)
     b = augment_clip(clip, Rng(9), visible=True)
     np.testing.assert_array_equal(a, b)
 
 
 def test_augment_clip_is_frame_consistent():
-    clip = np.repeat(Rng(10).uniform((1, 16, 8, 3)), 4, axis=0)
+    clip = np.repeat(random_frames(10, (1, 16, 8, 3)), 4, axis=0)
     out = augment_clip(clip, Rng(11), visible=True)
     for t in range(1, 4):
         np.testing.assert_array_equal(out[t], out[0])

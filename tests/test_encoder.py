@@ -148,7 +148,7 @@ def test_each_block_calls_attention_by_its_encoder_name(monkeypatch, with_hub):
 def test_encode_gradients_through_pruned_last_block(hub_rows):
     # Criterion 3's finite-difference bound, through the last block run on
     # [CLS] and the hub rows, or on [CLS] alone.
-    from vld.gradcheck import check_gradients
+    from gradcheck import check_gradients
     from vld.hub import TemporalHub
     enc = make_encoder()
     hub = TemporalHub(2, TINY.dim, 0, TINY.depth, Rng(19))

@@ -1,5 +1,6 @@
-"""Process set-up: one BLAS thread in the suite and the CLI, and an
-``import vld`` that loads no numpy and leaves the environment alone."""
+"""Process set-up: one BLAS thread in the suite and the CLI, an
+``import vld`` that loads no numpy and leaves the environment alone, and
+a data layer that loads no tensor core."""
 
 import os
 import subprocess
@@ -59,3 +60,12 @@ def test_import_vld_loads_no_numpy_and_keeps_the_environment():
                      "import vld\n"
                      "print('numpy' in sys.modules, dict(os.environ) == before)\n")
     assert out == "False True"
+
+
+def test_import_vld_data_leaves_the_tensor_core_unloaded():
+    """The data layer hands over stored uint8 frames; only the model
+    decodes them, so loading data needs no tensor core or dtype."""
+    out = run_python("import sys\n"
+                     "import vld.data\n"
+                     "print('vld.tensor' in sys.modules)\n")
+    assert out == "False"

@@ -10,9 +10,9 @@ to that.
 import numpy as np
 import pytest
 
+from gradcheck import max_relative_error
 from reference import composite_attention, composite_mlp
 from vld.attention import AttentionWeights, multi_head_attention
-from vld.gradcheck import max_relative_error
 from vld.rng import Rng
 from vld.tensor import Tensor, mlp, no_grad, set_default_dtype
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from util import random_frames
 from vld.config import load_config
 from vld.errors import ContractError
 from vld.losses import total_loss
@@ -28,8 +29,8 @@ def desk_step():
     plan = cfg.batch_plan()
     per_identity = 2 * plan.tracklets_per_identity   # both modalities
     labels = np.repeat(np.arange(plan.identities), per_identity)
-    frames = Rng(10).uniform((len(labels), cfg["data.frames"], cfg["data.image_h"],
-                              cfg["data.image_w"], 3)).astype(np.float32)
+    frames = random_frames(10, (len(labels), cfg["data.frames"],
+                                cfg["data.image_h"], cfg["data.image_w"], 3))
     params = [p for _, p in all_parameters(model, heads)]
 
     def build():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from reference import composite_attention
+from util import random_frames
 from vld.encoder import EncoderConfig, VisionEncoder
-from vld.errors import ConfigError
+from vld.errors import ConfigError, DataError
 from vld.hub import HubReadout, TemporalHub, VideoModel, flatten_hub
 from vld.rng import Rng
 from vld.tensor import Tensor, layer_norm
@@ -208,7 +209,16 @@ def test_video_model_parameter_names():
 def test_hub_gradient_reaches_hub_parameter():
     model = VideoModel(TINY, frames=3, rng=Rng(28), use_hub=True,
                        insertion_layer=1)
-    frames = Rng(29).uniform((2, 3, 8, 8, 3))
-    seq, hub_seq, _ = model.forward(Tensor(frames))
+    seq, hub_seq = model.forward(random_frames(29, (2, 3, 8, 8, 3)))
     (hub_seq * Tensor(Rng(30).normal((2, 8)))).sum().backward()
     assert np.abs(model.hub.h.grad).max() > 0
+
+
+def test_forward_rejects_frames_that_are_not_stored_uint8():
+    model = VideoModel(TINY, frames=3, rng=Rng(28), use_hub=True,
+                       insertion_layer=1)
+    frames = random_frames(29, (2, 3, 8, 8, 3))
+    for decoded in (frames / 255.0, (frames / 255.0).astype(np.float32),
+                    Tensor(frames)):
+        with pytest.raises(DataError, match="uint8"):
+            model.forward(decoded)

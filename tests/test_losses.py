@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import check_gradients
 from vld.errors import ContractError, DataError, DivergenceError
-from vld.gradcheck import check_gradients
 from vld.losses import (IdentityHead, LossWeights, cross_entropy_from_logits,
                         identity_cross_entropy, pairwise_distances, total_loss,
                         weighted_regularized_triplet)

@@ -5,8 +5,8 @@ import time
 
 import numpy as np
 
+from gradcheck import check_gradients
 from util import tiny_e2e_problem
-from vld.gradcheck import check_gradients
 
 
 def test_every_parameter_present_in_e2e_problem():

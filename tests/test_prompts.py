@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import check_gradients
 from vld.errors import ConfigError, DataError
-from vld.gradcheck import check_gradients
 from vld.prompts import (FrozenTextEncoder, PromptBank, make_logit_scale,
                          unit_normalize, visual_text_loss, LOGIT_SCALE_INIT)
 from vld.rng import Rng

@@ -11,8 +11,8 @@ relative error; float32 in gives float32 out.
 import numpy as np
 import pytest
 
+from gradcheck import max_relative_error
 from vld.encoder import EncoderConfig, TransformerBlock, VisionEncoder
-from vld.gradcheck import max_relative_error
 from vld.hub import TemporalHub
 from vld.prompts import FrozenTextEncoder, PromptBank, unit_normalize
 from vld.rng import Rng

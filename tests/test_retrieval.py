@@ -136,6 +136,26 @@ def test_report_files_round_trip(tmp_path):
     assert payload["map"] == report.mean_ap
 
 
+def test_failed_report_overwrite_keeps_old_files_and_leaves_no_stray(
+        tmp_path, monkeypatch):
+    from vld import checkpoint
+    rng = Rng(4)
+    q = make_index(rng.normal((4, 5)), [0, 1, 0, 1], "infrared")
+    g = make_index(rng.normal((8, 5)), [0, 1] * 4, "visible")
+    save_report(evaluate(q, g, direction="ir2vis"), tmp_path / "m.json",
+                tmp_path / "c.csv")
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(checkpoint.os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        save_report(evaluate(g, q, direction="vis2ir"), tmp_path / "m.json",
+                    tmp_path / "c.csv")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
+
 def test_malformed_csv_reports_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("rank,value\n1,0.5\nnot-a-row\n")
@@ -143,10 +163,11 @@ def test_malformed_csv_reports_line_number(tmp_path):
         load_cmc_csv(path)
 
 
+# 20 tracklets: more than one extraction chunk.
 EXTRACT_CFG = """
 data.train_identities = 3
 data.test_identities = 2
-data.tracklets_per_identity = 1
+data.tracklets_per_identity = 2
 data.frames = 2
 data.image_h = 8
 data.image_w = 8
@@ -192,8 +213,7 @@ def test_extract_features_contract(tmp_path):
 
 def test_readout_runs_only_for_the_hub_feature(tmp_path, monkeypatch):
     from vld.hub import HubReadout
-    from vld.retrieval import extract_features
-    from vld.tensor import Tensor
+    from vld.retrieval import EXTRACT_BATCH, extract_features
 
     dataset, model = extract_problem(tmp_path / "d")
     calls = []
@@ -204,17 +224,17 @@ def test_readout_runs_only_for_the_hub_feature(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(HubReadout, "__call__", counted)
-    picks = dataset.tracklets[:6]
-    extract_features(model, dataset, picks, batch_size=4)
+    picks = dataset.tracklets
+    assert EXTRACT_BATCH < len(picks) <= 2 * EXTRACT_BATCH
+    extract_features(model, dataset, picks)
     assert calls == []
-    index = extract_features(model, dataset, picks, use_hub_feature=True,
-                             batch_size=4)
+    index = extract_features(model, dataset, picks, use_hub_feature=True)
     assert len(calls) == 2
     hub_seqs = []
-    for start in (0, 4):
+    for start in (0, EXTRACT_BATCH):
         frames = np.stack([dataset.load_frames(t)
-                           for t in picks[start:start + 4]])
-        hub_seqs.append(model.forward(Tensor(frames))[1].data)
+                           for t in picks[start:start + EXTRACT_BATCH]])
+        hub_seqs.append(model.forward(frames)[1].data)
     expected = np.concatenate(hub_seqs)
     expected /= np.linalg.norm(expected, axis=1, keepdims=True)
     np.testing.assert_array_equal(index.features, expected)

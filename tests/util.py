@@ -26,6 +26,11 @@ imlp.template = 2
 """
 
 
+def random_frames(seed: int, shape) -> np.ndarray:
+    """Stored-form frames: uint8 pixels drawn uniformly."""
+    return np.round(Rng(seed).uniform(shape) * 255.0).astype(np.uint8)
+
+
 def tiny_e2e_problem(seed: int = 1):
     """(named params, loss closure) for a full five-part objective on a
     2-identity micro-batch."""
@@ -33,7 +38,7 @@ def tiny_e2e_problem(seed: int = 1):
     rng = Rng(seed)
     model = build_model(cfg, rng.split("init"))
     heads = TrainingHeads(cfg, 2, rng.split("init"))
-    frames = Rng(seed + 100).uniform((4, 2, 4, 4, 3))
+    frames = random_frames(seed + 100, (4, 2, 4, 4, 3))
     labels = np.array([0, 0, 1, 1])
     weights = cfg.loss_weights()
 
