@@ -15,6 +15,7 @@ from .data import BatchPlan, SyntheticSpec
 from .encoder import EncoderConfig
 from .errors import ConfigError
 from .losses import LossWeights
+from .prompts import TEMPLATES
 
 _BOOL = {"true": True, "false": False}
 
@@ -70,7 +71,7 @@ _MINIMUMS: dict[str, int] = {
         "data.tracklets_per_identity", "data.frames", "data.image_h",
         "data.image_w", "encoder.patch", "encoder.dim", "encoder.depth",
         "encoder.heads", "encoder.mlp_ratio", "train.epoch_passes",
-        "train.batch_identities", "train.batch_tracklets"), 1),
+        "train.batch_identities", "train.batch_tracklets", "imlp.tokens"), 1),
     "train.epochs": 0,
     "data.pad": 0,
 }
@@ -151,6 +152,9 @@ class RunConfig:
                 f"stp.insertion_layer {v['stp.insertion_layer']} outside "
                 f"[0, {v['encoder.depth']}]"
             )
+        if v["imlp.template"] not in TEMPLATES:
+            raise ConfigError(f"imlp.template must be one of "
+                              f"{sorted(TEMPLATES)}, got {v['imlp.template']}")
         if v["train.precision"] not in ("double", "single"):
             raise ConfigError(f"train.precision must be double or single, "
                               f"got {v['train.precision']!r}")

@@ -297,20 +297,20 @@ def load_dataset(root) -> Dataset:
         if modality not in (VISIBLE, INFRARED):
             raise DataError(f"{manifest}:{lineno}: unknown modality {modality!r}")
         rows.append(row)
-    num_train = None
     meta = root / "meta.cfg"
-    if meta.exists():
-        for line in meta.read_text().splitlines():
-            key, _, value = line.partition("=")
-            if key.strip() == "num_train_identities":
-                try:
-                    num_train = int(value)
-                except ValueError:
-                    raise DataError(f"{meta}: num_train_identities must be an "
-                                    f"integer, got {value.strip()!r}") from None
-    if num_train is None:
-        num_train = len({r.identity for r in rows})
-    return Dataset(root, rows, num_train)
+    for line in (meta.read_text() if meta.exists() else "").splitlines():
+        key, _, value = line.partition("=")
+        if key.strip() != "num_train_identities":
+            continue
+        try:
+            num_train = int(value)
+        except ValueError:
+            raise DataError(f"{meta}: num_train_identities must be an "
+                            f"integer, got {value.strip()!r}") from None
+        return Dataset(root, rows, num_train)
+    raise DataError(f"{meta} is missing or has no num_train_identities "
+                    f"line, so the identity split is unknown; re-run "
+                    f"`vld gen-data` to write it")
 
 
 # -- batch sampling -----------------------------------------------------------

@@ -12,7 +12,7 @@ vld.hub) widens each frame's token axis and is the only cross-frame path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -23,13 +23,13 @@ class Adam:
     """Standard Adam over named parameters with per-group lr multipliers.
 
     ``groups`` maps a group name to (params, lr_multiplier) where params is
-    a list of (name, Tensor). The prompt learner group runs at 25x the base
-    rate in the default training configuration.
+    a list of (name, Tensor). ``step(lr)`` takes the base rate from the
+    caller's schedule and moves each group at its multiple of it; the prompt
+    learner group runs at 25x the base rate in the default training
+    configuration.
     """
 
-    def __init__(self, groups: dict, base_lr: float,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
-        self.base_lr = base_lr
+    def __init__(self, groups: dict, betas=(0.9, 0.999), eps: float = 1e-8):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.step_count = 0
@@ -44,18 +44,13 @@ class Adam:
                     "v": np.zeros_like(param.data),
                 })
 
-    @property
-    def parameters(self):
-        return [(e["name"], e["param"]) for e in self._entries]
-
     def zero_grad(self) -> None:
         for entry in self._entries:
             entry["param"].grad = None
 
-    def step(self, lr: float | None = None) -> None:
-        """One update; a missing gradient on any parameter is an error."""
-        if lr is None:
-            lr = self.base_lr
+    def step(self, lr: float) -> None:
+        """One update at base rate ``lr``; a missing gradient on any
+        parameter is an error."""
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - self.beta1**t

@@ -22,7 +22,6 @@ from .tensor import (Tensor, broadcast_to, clamp_max, concat, layer_norm,
 
 # template id -> (prefix length, suffix length) around the learnable slots
 TEMPLATES = {1: (0, 2), 2: (1, 2), 3: (1, 8), 4: (1, 9)}
-DEFAULT_TEMPLATE = 4
 
 LOGIT_SCALE_INIT = 1.0 / 0.07
 LOGIT_SCALE_MAX = 100.0

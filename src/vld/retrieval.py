@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint
 from .data import Dataset, Tracklet
-from .errors import DataError, ParseError
+from .errors import DataError
 from .tensor import no_grad
 
 EXTRACT_BATCH = 16
@@ -127,24 +126,3 @@ def save_report(report: RetrievalReport, json_path, csv_path) -> None:
         lines.append(f"{i},{float(value)!r}")
     checkpoint.write_atomic(csv_path, [("\n".join(lines) + "\n").encode()])
 
-
-def load_cmc_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a CMC curve CSV, reporting the offending line on failure."""
-    ranks, values = [], []
-    text = Path(path).read_text().splitlines()
-    if not text or text[0].strip() != "rank,value":
-        raise ParseError(f"{path}:1: expected 'rank,value' header")
-    for lineno, line in enumerate(text[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            if len(parts) != 2:
-                raise ValueError
-            ranks.append(int(parts[0]))
-            values.append(float(parts[1]))
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: malformed CMC row {line!r}") from None
-    if not ranks:
-        raise ParseError(f"{path}: no CMC rows after the header")
-    return np.asarray(ranks), np.asarray(values)

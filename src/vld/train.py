@@ -17,10 +17,10 @@ from . import checkpoint
 from .config import RunConfig
 from .data import (Dataset, generate, load_dataset, sample_batch, INFRARED,
                    VISIBLE)
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError
 from .hub import VideoModel
-from .losses import (IdentityHead, LossWeights, identity_cross_entropy,
-                     total_loss, weighted_regularized_triplet)
+from .losses import (IdentityHead, identity_cross_entropy, total_loss,
+                     weighted_regularized_triplet)
 from .optim import Adam, cosine_lr
 from .prompts import (FrozenTextEncoder, PromptBank, make_logit_scale,
                       visual_text_loss)
@@ -88,8 +88,7 @@ def build_optimizer(cfg: RunConfig, model: VideoModel,
     groups = {"": (base_params, 1.0)}
     if prompt_params:
         groups["prompt"] = (prompt_params, cfg["optim.prompt_lr_multiplier"])
-    return Adam(groups, base_lr=cfg["optim.base_lr"],
-                betas=(cfg["optim.beta1"], cfg["optim.beta2"]),
+    return Adam(groups, betas=(cfg["optim.beta1"], cfg["optim.beta2"]),
                 eps=cfg["optim.eps"])
 
 
@@ -260,18 +259,18 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
                 checkpoint.save(out / "best.vldt",
                                 checkpoint_records(model, heads))
             checkpoint.save(out / "last.vldt", checkpoint_records(model, heads))
-    except DivergenceError:
+
+        checkpoint.save(out / "final.vldt", checkpoint_records(model, heads))
+        # The last epoch's evaluation already ranks the final model.
+        if reports is None:
+            reports, _, _ = evaluate_model(cfg, model, dataset, direction)
+        for name, report in reports.items():
+            save_report(report, out / f"report_{name}.json",
+                        out / f"cmc_{name}.csv")
+    finally:
+        # Whatever ends the run, its log keeps every line emitted so far.
         checkpoint.write_atomic(metrics_path,
                                 [("\n".join(lines) + "\n").encode()])
-        raise
-
-    checkpoint.save(out / "final.vldt", checkpoint_records(model, heads))
-    # The last epoch's evaluation already ranks the final model.
-    if reports is None:
-        reports, _, _ = evaluate_model(cfg, model, dataset, direction)
-    for name, report in reports.items():
-        save_report(report, out / f"report_{name}.json", out / f"cmc_{name}.csv")
-    checkpoint.write_atomic(metrics_path, [("\n".join(lines) + "\n").encode()])
     return {
         "epoch_losses": epoch_losses,
         "best_map": best_map,

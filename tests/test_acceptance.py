@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s`. Criteria 1-6 and 8 are
 fast; criterion 7 trains twelve desk-scale models and dominates runtime.
 """
 
-import json
 import math
 import time
 from pathlib import Path

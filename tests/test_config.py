@@ -112,7 +112,7 @@ AT_LEAST_ONE = (
     "data.tracklets_per_identity", "data.frames", "data.image_h",
     "data.image_w", "encoder.patch", "encoder.dim", "encoder.depth",
     "encoder.heads", "encoder.mlp_ratio", "train.epoch_passes",
-    "train.batch_identities", "train.batch_tracklets",
+    "train.batch_identities", "train.batch_tracklets", "imlp.tokens",
 )
 AT_LEAST_ZERO = ("train.epochs", "data.pad")
 
@@ -126,4 +126,19 @@ def test_sizes_below_their_minimum_are_config_errors(key, value, tmp_path):
     path.write_text(f"data.root = {tmp_path / 'data'}\n{key} = {value}\n")
     assert main(["train", "--config", str(path),
                  "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("template", [0, 7])
+def test_unknown_prompt_template_is_config_error(template, tmp_path):
+    from vld.cli import main
+    with pytest.raises(ConfigError, match="imlp.template"):
+        parse_config(f"imlp.template = {template}")
+    path = tmp_path / "run.cfg"
+    path.write_text(f"data.root = {tmp_path / 'data'}\n"
+                    f"imlp.template = {template}\n")
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
     assert not (tmp_path / "data").exists()

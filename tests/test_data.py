@@ -160,6 +160,7 @@ MANIFEST = ("tracklet_id\tidentity\tmodality\tcamera\tframe_count\n"
 
 def write_manifest(root, text):
     root.mkdir(exist_ok=True)
+    (root / "meta.cfg").write_text("num_train_identities = 1\n")
     (root / "manifest.tsv").write_text(text)
     return root
 
@@ -261,6 +262,19 @@ def test_non_integer_train_identity_count_is_data_error(tmp_path):
     (root / "meta.cfg").write_text("num_train_identities = many\n")
     with pytest.raises(DataError, match="num_train_identities"):
         load_dataset(root)
+
+
+@pytest.mark.parametrize("meta", [None, "seed = 1\n"])
+def test_missing_train_identity_count_is_data_error(tmp_path, meta):
+    """Without the split every identity would train and none would test."""
+    root = write_manifest(tmp_path / "d", MANIFEST)
+    if meta is None:
+        (root / "meta.cfg").unlink()
+    else:
+        (root / "meta.cfg").write_text(meta)
+    with pytest.raises(DataError, match="meta.cfg"):
+        load_dataset(root)
+
 
 def test_cross_modal_correlation_floor(tmp_path):
     """Same-identity visible/infrared pairs correlate above cross-identity

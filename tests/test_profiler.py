@@ -1,9 +1,6 @@
 """Analytic cost model: exact parameter counts, FLOP structure, and the
 enumeration oracle against constructed models."""
 
-import numpy as np
-import pytest
-
 from vld.encoder import EncoderConfig
 from vld.hub import VideoModel
 from vld.profiler import (cost_report, count_params, estimate_flops,

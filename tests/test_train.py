@@ -5,7 +5,7 @@ import pytest
 
 from vld import checkpoint, tensor
 from vld import train as train_module
-from vld.config import default_config, parse_config
+from vld.config import parse_config
 from vld.data import generate
 from vld.errors import ConfigError
 from vld.rng import Rng
@@ -200,7 +200,7 @@ def test_frozen_text_encoder_stays_frozen_through_a_step(tmp_path):
                       parts["id_hub"], parts["wrt_hub"], cfg.loss_weights())
     opt.zero_grad()
     loss.backward()
-    opt.step()
+    opt.step(lr=cfg["optim.base_lr"])
 
     for i, block in enumerate(heads.text_encoder.blocks):
         for name, p in block.named_parameters(f"blk{i}"):
@@ -245,6 +245,27 @@ def test_divergence_aborts_with_last_good_checkpoint(tmp_path, monkeypatch):
     assert not (out / "final.vldt").exists()
     lines = (out / "metrics.log").read_text().splitlines()
     assert sum(1 for ln in lines if ln.startswith("step=")) == 2
+
+
+def test_failed_run_keeps_the_metrics_log(tmp_path, monkeypatch):
+    """A run that fails for any reason still logs every line before it."""
+    from vld.errors import DataError
+    real = train_module.evaluate_model
+    calls = {"n": 0}
+
+    def failing(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise DataError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "evaluate_model", failing)
+    with pytest.raises(DataError, match="injected"):
+        train(tiny_config(tmp_path / "data"), tmp_path / "run")
+    lines = (tmp_path / "run" / "metrics.log").read_text().splitlines()
+    evals = [ln for ln in lines if ln.startswith("eval ")]
+    assert len(evals) == 2 and all("epoch=0" in ln for ln in evals)
+    assert sum(1 for ln in lines if ln.startswith("step=")) == 2 * 4
 
 
 def test_cli_maps_divergence_to_exit_4(tmp_path, monkeypatch):
