@@ -44,12 +44,14 @@ class AttentionWeights:
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor,
-                         w: AttentionWeights) -> Tensor:
-    """Attention of queries over keys/values along the second-to-last axis.
+                         w: AttentionWeights, residual: Tensor | None = None
+                         ) -> Tensor:
+    """Attention of queries over keys/values along the second-to-last axis,
+    plus ``residual`` (of q's shape) when given.
 
     q is [..., Lq, D]; k and v are [..., Lk, D]. Scores use the usual
     1/sqrt(D/heads) scale and each attention row sums to one. Runs as the
-    single ``vld.tensor.attention`` node.
+    single ``vld.tensor.attention`` node, which adds the residual itself.
     """
     return attention(q, k, v, (w.wq, w.bq, w.wk, w.bk, w.wv, w.bv, w.wo, w.bo),
-                     w.heads)
+                     w.heads, residual=residual)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ContractError, DataError, ParseError
 
 MAGIC = b"VLDT"
 VERSION = 1
@@ -48,7 +48,11 @@ def write_atomic(path, chunks) -> None:
 
 def _encode(records):
     yield MAGIC + struct.pack("<H", VERSION)
+    names = set()
     for name, arr in records:
+        if name in names:
+            raise ContractError(f"record name {name!r} repeated")
+        names.add(name)
         # np.asarray keeps 0-d records 0-d (ascontiguousarray would not).
         arr = np.asarray(arr, order="C")
         dt = arr.dtype.newbyteorder("<") if arr.dtype.byteorder == ">" else arr.dtype
@@ -66,7 +70,8 @@ def save(path, records) -> None:
 
     ``records`` is a mapping or any iterable of (name, array) pairs; each
     array is written as it is produced, so a generator never has more
-    than one record alive."""
+    than one record alive. A repeated name raises ContractError and
+    leaves any old file in place."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     items = records.items() if hasattr(records, "items") else records
@@ -77,7 +82,8 @@ def index(f, path) -> dict[str, tuple[np.dtype, tuple[int, ...], int]]:
     """Walk the record headers of the container open as the binary file
     ``f``, seeking past every payload, and return each record's dtype,
     shape and payload offset, in file order. No payload byte is read. A
-    malformed container raises ParseError; ``path`` names it."""
+    malformed container, one with a repeated record name included, raises
+    ParseError; ``path`` names it."""
     size = os.fstat(f.fileno()).st_size
 
     def read(n: int) -> bytes:
@@ -110,6 +116,8 @@ def index(f, path) -> dict[str, tuple[np.dtype, tuple[int, ...], int]]:
         nbytes = math.prod(shape) * dt.itemsize
         if offset + nbytes > size:
             raise ParseError(f"{path}: truncated payload for record {name!r}")
+        if name in records:
+            raise ParseError(f"{path}: record name {name!r} repeated")
         records[name] = (dt, shape, offset)
         offset += nbytes
         f.seek(offset)

@@ -15,7 +15,9 @@ On disk, a dataset root holds three files:
   with one uint8 record of shape [T, H, W, 3] per tracklet, named
   ``tr<id>`` after its five-digit zero-padded tracklet id, in tracklet
   order;
-- ``meta.cfg``: the identity split and the seed;
+- ``meta.cfg``: the identity split and the seed; identities below
+  ``num_train_identities`` train, the rest test, and a split that leaves
+  either side without a manifest identity does not load;
 - ``manifest.tsv``: one row per tracklet (tracklet id, identity,
   modality, camera, frame count), written last, so a dataset loads only
   once every other file is complete.
@@ -307,6 +309,13 @@ def load_dataset(root) -> Dataset:
         except ValueError:
             raise DataError(f"{meta}: num_train_identities must be an "
                             f"integer, got {value.strip()!r}") from None
+        identities = {row.identity for row in rows}
+        train = sum(identity < num_train for identity in identities)
+        if not 0 < train < len(identities):
+            raise DataError(f"{meta}: num_train_identities = {num_train} puts "
+                            f"{train} of the manifest's {len(identities)} "
+                            f"identities in training; each side of the split "
+                            f"needs at least one")
         return Dataset(root, rows, num_train)
     raise DataError(f"{meta} is missing or has no num_train_identities "
                     f"line, so the identity split is unknown; re-run "

@@ -92,12 +92,13 @@ class TransformerBlock:
         keys and values stay every row of LN(x)."""
         h = layer_norm(x, self.ln1_g, self.ln1_b)
         if rows is None:
-            x = x + multi_head_attention(h, h, h, self.attn)
+            x = multi_head_attention(h, h, h, self.attn, residual=x)
         else:
-            x = take_rows(x, rows) + multi_head_attention(take_rows(h, rows),
-                                                          h, h, self.attn)
+            x = multi_head_attention(take_rows(h, rows), h, h, self.attn,
+                                     residual=take_rows(x, rows))
         h = layer_norm(x, self.ln2_g, self.ln2_b)
-        return x + mlp(h, self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2)
+        return mlp(h, self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2,
+                   residual=x)
 
     def named_parameters(self, prefix: str):
         yield f"{prefix}/ln1_g", self.ln1_g

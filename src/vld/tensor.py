@@ -19,14 +19,24 @@ drops the loss; a second backward through a consumed graph raises
 summation across multiple uses of a tensor and across backward calls over
 fresh graphs; callers zero them explicitly between steps.
 
+Each node keeps only what its VJP cannot cheaply recompute (selective
+activation recomputation): matrix-product outputs stay, cheap elementwise
+buffers are recomputed in backward by the same operations the forward ran,
+so gradients are unchanged bit for bit. ``mlp`` keeps its pre-activation
+and ``layer_norm`` its per-row mean and inverse deviation; ``attention``
+keeps its projections, probabilities and mixed values, and concatenates a
+shared projection weight again in backward. No op writes into its inputs,
+so ``getitem`` returns a view and a VJP may read its parents' data.
+
 Numerics contract of the fused nodes (``mlp``, ``attention``): the forward
 runs the same floating-point operations in the same order as the
 composition of single ops it replaces, so it is bit-identical to it, and
 the gradients agree with the composition's within 1e-12 relative error.
 They differ by rounding only: the attention backward sums the projections
 of a shared input in one product, and the GELU derivative recovers tanh
-from the kept 1 + tanh buffer. ``tests/reference.py`` holds the
-composition.
+from the 1 + tanh buffer. Given ``residual``, each adds it into its own
+output, bit-identical to ``residual + node(...)``. ``tests/reference.py``
+holds the composition.
 """
 
 from __future__ import annotations
@@ -378,10 +388,11 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def getitem(a, idx) -> Tensor:
+    """Basic slicing. The output's data is a view of the input's, which is
+    safe because no op writes into its inputs."""
     a = as_tensor(a)
     if isinstance(idx, (np.ndarray, list)):
         raise ShapeError("only basic slicing is supported")
-    data = a.data[idx]
     shape = a.data.shape
 
     def vjp(g):
@@ -389,7 +400,7 @@ def getitem(a, idx) -> Tensor:
         full[idx] = g
         return (full,)
 
-    return _make(np.array(data, copy=True), (a,), vjp)
+    return _make(np.asarray(a.data[idx]), (a,), vjp)
 
 
 # -- reductions -------------------------------------------------------------
@@ -506,7 +517,11 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
 
 
 def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Backward keeps the per-row mean and inverse deviation ([..., 1]) and
+    recomputes the normalized input from the input its parent holds.
+    """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     dim = x.data.shape[-1]
     if dim < 2:
@@ -522,6 +537,8 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
+        xhat = x.data - mu
+        xhat *= inv
         dxhat = g * gain.data
         dx = inv * (
             dxhat
@@ -538,15 +555,40 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
 # -- fused layer nodes --------------------------------------------------------
 
 
-def mlp(x, w1, b1, w2, b2) -> Tensor:
-    """linear -> GELU (tanh approximation) -> linear over the last axis.
+def _add_residual(out: np.ndarray, residual: Tensor) -> None:
+    """Add ``residual`` into a node's fresh output in place."""
+    if residual.data.shape != out.shape:
+        raise ShapeError(f"residual {residual.data.shape} does not match "
+                         f"the output {out.shape}")
+    out += residual.data
+
+
+def _gelu_gate(pre: np.ndarray) -> np.ndarray:
+    """1 + tanh(C (pre + K pre^3)), the tanh GELU's gate, as an in-place
+    chain; the same operations in forward and backward give the same bits."""
+    t = pre * pre
+    t *= _GELU_K
+    t *= pre
+    t += pre
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    return t
+
+
+def mlp(x, w1, b1, w2, b2, residual=None) -> Tensor:
+    """linear -> GELU (tanh approximation) -> linear over the last axis,
+    plus ``residual`` when given.
 
     One node for the whole MLP. The GELU runs as an in-place chain, and
-    backward keeps only the pre-activation, the 1 + tanh buffer and the
-    activation.
+    backward keeps only the pre-activation: it re-runs the chain on it.
+    ``residual``, of the output's shape, is added into the output in place
+    and receives the output's gradient, as ``add`` would give it.
     """
-    parents = x, w1, b1, w2, b2 = tuple(as_tensor(t)
-                                        for t in (x, w1, b1, w2, b2))
+    parents = tuple(as_tensor(t) for t in (x, w1, b1, w2, b2))
+    if residual is not None:
+        parents += (as_tensor(residual),)
+    x, w1, b1, w2, b2 = parents[:5]
     d, hidden = w1.data.shape
     if x.data.shape[-1] != d or w2.data.shape[0] != hidden:
         raise ShapeError(
@@ -557,53 +599,80 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     x2 = np.ascontiguousarray(x.data.reshape(-1, d))
     pre = x2 @ w1.data
     pre += b1.data
-    t = pre * pre
-    t *= _GELU_K
-    t *= pre
-    t += pre
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    one_plus_t = t
-    one_plus_t += 1.0
+    gate = _gelu_gate(pre)
     # Without a graph the pre-activation is dead here: scale it in place.
     act = pre * 0.5 if _records(parents) else np.multiply(pre, 0.5, out=pre)
-    act *= one_plus_t
+    act *= gate
     out = act @ w2.data
     out += b2.data
+    out = out.reshape(*x.data.shape[:-1], out_dim)
+    if residual is not None:
+        _add_residual(out, parents[5])
 
     def vjp(g):
         g2 = g.reshape(-1, out_dim)
-        gw2 = act.T @ g2 if w2.requires_grad else None
+        gate = _gelu_gate(pre)
+        gw2 = None
+        if w2.requires_grad:
+            act = pre * 0.5
+            act *= gate
+            gw2 = act.T @ g2
+            del act
         gb2 = g2.sum(axis=0) if b2.requires_grad else None
         # d gelu / d pre, with sech^2 = 1 - tanh^2.
         local = pre * pre
         local *= 3.0 * _GELU_K
         local += 1.0
         local *= _GELU_C
-        sech2 = one_plus_t - 1.0
+        sech2 = gate - 1.0
         sech2 *= sech2
         np.subtract(1.0, sech2, out=sech2)
         local *= sech2
         local *= pre
-        local += one_plus_t
+        local += gate
         local *= 0.5
         local *= g2 @ w2.data.T
         gx = (local @ w1.data.T).reshape(x.data.shape) if x.requires_grad else None
         gw1 = x2.T @ local if w1.requires_grad else None
         gb1 = local.sum(axis=0) if b1.requires_grad else None
-        return gx, gw1, gb1, gw2, gb2
+        return (gx, gw1, gb1, gw2, gb2) + (() if residual is None else (g,))
 
-    return _make(out.reshape(*x.data.shape[:-1], out_dim), parents, vjp)
+    return _make(out, parents, vjp)
 
 
-def attention(q, k, v, params, heads: int):
-    """Multi-head scaled dot-product attention as one node.
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``, folded one column at a time.
+
+    numpy's reduce runs a loop per row, slow on the short rows of attention
+    scores. Max is exact in any order and ``np.maximum`` propagates NaN as
+    ``max`` does, so the result is the same bit for bit.
+    """
+    m = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(m, a[..., j:j + 1], out=m)
+    return m
+
+
+def _group_param(params, idx, which: int) -> np.ndarray:
+    """The weights (``which`` 0) or biases (1) of the projections ``idx``
+    of one shared input, side by side."""
+    if len(idx) == 1:
+        return params[2 * idx[0] + which].data
+    return np.concatenate([params[2 * i + which].data for i in idx], axis=-1)
+
+
+def attention(q, k, v, params, heads: int, residual=None):
+    """Multi-head scaled dot-product attention as one node, plus
+    ``residual`` when given.
 
     q is [..., Lq, D]; k and v are [..., Lk, D]; ``params`` is
     (wq, bq, wk, bk, wv, bv, wo, bo), each weight D x D. Scores use the
     1/sqrt(D/heads) scale. Inputs that are the same tensor share one
     projection product: Q/K/V in one when ``q is k is v``, K/V in one when
-    ``k is v``. Backward keeps the attention probabilities.
+    ``k is v``. Backward keeps the projections, the attention probabilities
+    and the mixed values; it concatenates a shared weight again.
+    ``residual``, of the output's shape, is added into the output in place
+    and receives the output's gradient, as ``add`` would give it.
     """
     converted = {}
     q, k, v = (converted.setdefault(id(t), as_tensor(t)) for t in (q, k, v))
@@ -631,28 +700,28 @@ def attention(q, k, v, params, heads: int):
     saved = []
     for x, idx in groups:
         x2 = np.ascontiguousarray(x.data.reshape(-1, d))
-        if len(idx) == 1:
-            w, b = params[2 * idx[0]].data, params[2 * idx[0] + 1].data
-        else:
-            w = np.concatenate([params[2 * i].data for i in idx], axis=1)
-            b = np.concatenate([params[2 * i + 1].data for i in idx])
-        proj = x2 @ w
-        proj += b
+        proj = x2 @ _group_param(params, idx, 0)
+        proj += _group_param(params, idx, 1)
         split = proj.reshape(*x.data.shape[:-1], len(idx), heads, dh)
         for j, i in enumerate(idx):
             head_views[i] = np.swapaxes(split[..., j, :, :], -3, -2)
-        saved.append((x, idx, x2, w))
+        saved.append((x, idx, x2))
     qh, kh, vh = head_views
 
     attn = qh @ np.swapaxes(kh, -1, -2)
     attn *= scale
-    attn -= attn.max(axis=-1, keepdims=True)
+    attn -= _row_max(attn)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
     mixed = np.swapaxes(attn @ vh, -3, -2).reshape(-1, d)
     wo, bo = params[6], params[7]
     out = mixed @ wo.data
     out += bo.data
+    out = out.reshape(*q.data.shape[:-1], d)
+    parents = tuple(x for x, _, _ in saved) + params
+    if residual is not None:
+        parents += (as_tensor(residual),)
+        _add_residual(out, parents[-1])
 
     def vjp(g):
         g2 = g.reshape(-1, d)
@@ -673,14 +742,15 @@ def attention(q, k, v, params, heads: int):
 
         input_grads = []
         param_grads = [None] * 6
-        for x, idx, x2, w in saved:
+        for x, idx, x2 in saved:
             gp = np.empty(x.data.shape[:-1] + (len(idx), heads, dh),
                           dtype=g_vh.dtype)
             for j, i in enumerate(idx):
                 gp[..., j, :, :] = np.swapaxes(g_heads[i], -3, -2)
             gp = gp.reshape(-1, len(idx) * d)
             input_grads.append(
-                (gp @ w.T).reshape(x.data.shape) if x.requires_grad else None)
+                (gp @ _group_param(params, idx, 0).T).reshape(x.data.shape)
+                if x.requires_grad else None)
             if any(params[2 * i].requires_grad or params[2 * i + 1].requires_grad
                    for i in idx):
                 gw = x2.T @ gp
@@ -688,7 +758,7 @@ def attention(q, k, v, params, heads: int):
                 for j, i in enumerate(idx):
                     param_grads[2 * i] = gw[:, j * d:(j + 1) * d]
                     param_grads[2 * i + 1] = gb[j * d:(j + 1) * d]
-        return (*input_grads, *param_grads, gwo, gbo)
+        return (*input_grads, *param_grads, gwo, gbo,
+                *(() if residual is None else (g,)))
 
-    parents = tuple(x for x, _, _, _ in saved) + params
-    return _make(out.reshape(*q.data.shape[:-1], d), parents, vjp)
+    return _make(out, parents, vjp)

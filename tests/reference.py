@@ -4,7 +4,10 @@ The composite nodes are the single-op compositions that
 ``vld.tensor.mlp`` and ``vld.tensor.attention`` replace: GELU and softmax
 with their own VJPs, the three-projection GEMM, and the head split/merge
 built from reshape and swap_axes. Tests compare the fused nodes against
-them: forwards bit for bit, gradients within 1e-12. ``brute_force_eval``
+them: forwards bit for bit, gradients within 1e-12. ``keeping_mlp`` and
+``keeping_layer_norm`` are the fused nodes as they were before backward
+recomputed buffers: each keeps every buffer its VJP reads, and the
+program's nodes must give their gradients bit for bit. ``brute_force_eval``
 is the retrieval oracle ``vld.retrieval.evaluate`` must equal exactly.
 ``tlog`` and ``ttanh`` are elementwise ops only the gradient tests use.
 
@@ -19,8 +22,8 @@ import math
 import numpy as np
 
 from vld.data import VISIBLE
-from vld.tensor import (_GELU_C, _GELU_K, _make, as_tensor, linear, matmul,
-                        reshape, swap_axes)
+from vld.tensor import (_GELU_C, _GELU_K, _LN_EPS, _make, as_tensor, linear,
+                        matmul, reshape, swap_axes)
 
 
 def gelu(a):
@@ -137,6 +140,76 @@ def composite_attention(q, k, v, w, return_weights: bool = False):
 def composite_mlp(x, w1, b1, w2, b2):
     """linear -> GELU -> linear as three nodes."""
     return linear(gelu(linear(x, w1, b1)), w2, b2)
+
+
+def keeping_mlp(x, w1, b1, w2, b2):
+    """``vld.tensor.mlp`` keeping the pre-activation, the 1 + tanh buffer
+    and the activation for its VJP."""
+    parents = x, w1, b1, w2, b2 = tuple(as_tensor(t)
+                                        for t in (x, w1, b1, w2, b2))
+    d = w1.data.shape[0]
+    out_dim = w2.data.shape[1]
+    x2 = np.ascontiguousarray(x.data.reshape(-1, d))
+    pre = x2 @ w1.data
+    pre += b1.data
+    t = pre * pre
+    t *= _GELU_K
+    t *= pre
+    t += pre
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    one_plus_t = t
+    one_plus_t += 1.0
+    act = pre * 0.5
+    act *= one_plus_t
+    out = act @ w2.data
+    out += b2.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, out_dim)
+        gw2 = act.T @ g2
+        gb2 = g2.sum(axis=0)
+        local = pre * pre
+        local *= 3.0 * _GELU_K
+        local += 1.0
+        local *= _GELU_C
+        sech2 = one_plus_t - 1.0
+        sech2 *= sech2
+        np.subtract(1.0, sech2, out=sech2)
+        local *= sech2
+        local *= pre
+        local += one_plus_t
+        local *= 0.5
+        local *= g2 @ w2.data.T
+        gx = (local @ w1.data.T).reshape(x.data.shape)
+        return gx, x2.T @ local, local.sum(axis=0), gw2, gb2
+
+    return _make(out.reshape(*x.data.shape[:-1], out_dim), parents, vjp)
+
+
+def keeping_layer_norm(x, gain, bias, eps: float = _LN_EPS):
+    """``vld.tensor.layer_norm`` keeping the normalized input for its VJP."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
+
+    def vjp(g):
+        lead = tuple(range(g.ndim - 1))
+        dxhat = g * gain.data
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+    return _make(data, (x, gain, bias), vjp)
 
 
 def brute_force_eval(queries, gallery):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vld import checkpoint
-from vld.errors import DataError, ParseError
+from vld.errors import ContractError, DataError, ParseError
 from vld.rng import Rng
 
 
@@ -67,6 +67,27 @@ def test_save_streams_any_iterable_of_pairs(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.vldt",
                                                            "map.vldt"]
 
+
+
+def test_repeated_record_name_is_parse_error(tmp_path):
+    """Read as a dict, the second record would silently win."""
+    first, second = tmp_path / "first.vldt", tmp_path / "second.vldt"
+    checkpoint.save(first, [("a", np.zeros(2))])
+    checkpoint.save(second, [("a", np.ones(3))])
+    path = tmp_path / "twice.vldt"
+    path.write_bytes(first.read_bytes() + second.read_bytes()[6:])
+    with pytest.raises(ParseError, match="'a' repeated"):
+        checkpoint.load(path)
+
+
+def test_save_refuses_a_repeated_record_name(tmp_path):
+    path = tmp_path / "model.vldt"
+    checkpoint.save(path, {"x": np.ones(4)})
+    old = path.read_bytes()
+    with pytest.raises(ContractError, match="'a' repeated"):
+        checkpoint.save(path, [("a", np.zeros(2)), ("a", np.ones(3))])
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.vldt"]
 
 def test_index_locates_every_payload(tmp_path):
     records = {"w": Rng(6).normal((2, 3)).astype(np.float32),

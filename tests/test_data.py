@@ -2,6 +2,7 @@
 and the identity-balanced cross-modality sampler."""
 
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import reference
 from util import random_frames
 from vld import checkpoint, data
+from vld.cli import main
 from vld.config import load_config, parse_config
 from vld.data import (BatchPlan, Dataset, SyntheticSpec, Tracklet, augment_clip,
                       generate, load_dataset, sample_batch, INFRARED, VISIBLE)
@@ -22,6 +24,20 @@ from vld.train import configured_precision
 SMALL = SyntheticSpec(num_train_identities=4, num_test_identities=2,
                       tracklets_per_identity=2, frames=3, image_h=16,
                       image_w=8)
+# A run over SMALL's geometry, for the CLI.
+SMALL_RUN_CONFIG = """
+data.train_identities = 4
+data.test_identities = 2
+data.tracklets_per_identity = 2
+data.frames = 3
+data.image_h = 16
+data.image_w = 8
+encoder.patch = 4
+encoder.dim = 8
+encoder.depth = 1
+encoder.heads = 2
+train.epochs = 1
+"""
 
 
 @pytest.fixture(scope="module")
@@ -153,9 +169,10 @@ def test_manifest_round_trip(small_dataset):
 
 
 
+# Identity 0 trains and identity 1 tests under write_manifest's split.
 MANIFEST = ("tracklet_id\tidentity\tmodality\tcamera\tframe_count\n"
             "0\t0\tvisible\t0\t3\n"
-            "1\t0\tinfrared\t2\t3\n")
+            "1\t1\tinfrared\t2\t3\n")
 
 
 def write_manifest(root, text):
@@ -182,9 +199,13 @@ def test_every_truncated_manifest_loads_whole_rows_or_is_data_error(tmp_path):
             with pytest.raises(DataError, match=f":{len(lines)}:"):
                 load_dataset(root)
             continue
+        whole_rows = max(len(lines) - 1, 0)
+        if whole_rows < 2:      # no test identity (or none at all) left
+            with pytest.raises(DataError, match="meta.cfg"):
+                load_dataset(root)
+            continue
         loaded = load_dataset(root)
-        assert [t.tracklet_id for t in loaded.tracklets] == \
-            list(range(max(len(lines) - 1, 0)))
+        assert [t.tracklet_id for t in loaded.tracklets] == [0, 1]
 
 
 @pytest.mark.parametrize("crash_at", ["third tracklet", "meta.cfg",
@@ -255,6 +276,23 @@ def test_every_corrupted_manifest_field_is_data_error(tmp_path, row, field,
     root = write_manifest(tmp_path / "d", "\n".join(lines) + "\n")
     with pytest.raises(DataError, match=f":{row + 1}:"):
         load_dataset(root)
+
+
+@pytest.mark.parametrize("num_train", [99, 6, 0, -3])
+def test_split_leaving_a_side_empty_is_data_error(small_dataset, tmp_path,
+                                                  num_train):
+    """SMALL has identities 0-5: each count here puts all of them on one
+    side of the split, through load_dataset and through `vld train`."""
+    root = tmp_path / "d"
+    shutil.copytree(small_dataset.root, root)
+    (root / "meta.cfg").write_text(f"num_train_identities = {num_train}\n")
+    with pytest.raises(DataError, match="meta.cfg"):
+        load_dataset(root)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN_CONFIG + f"data.root = {root}\n")
+    assert main(["train", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert not (tmp_path / "run" / "final.vldt").exists()
 
 
 def test_non_integer_train_identity_count_is_data_error(tmp_path):
@@ -379,7 +417,7 @@ def test_missing_frames_container_is_data_error(tmp_path):
 def _three_tracklet_container(root):
     """A dataset of three 2-frame tracklets, its frames.vldt bytes, and the
     byte positions of every header field of the container."""
-    tracklets = [Tracklet(i, 0, (VISIBLE, INFRARED)[i % 2], 0, 2)
+    tracklets = [Tracklet(i, i // 2, (VISIBLE, INFRARED)[i % 2], 0, 2)
                  for i in range(3)]
     write_manifest(root, data.MANIFEST_HEADER + "\n" + "".join(
         f"{t.tracklet_id}\t{t.identity}\t{t.modality}\t{t.camera}"

@@ -1,5 +1,6 @@
 """Backward consumes its graph: a desk-sized step's graph is freed by the
-time ``backward()`` returns, even while the loss and its parts are held."""
+time ``backward()`` returns, even while the loss and its parts are held.
+Before that, the graph keeps only what its VJPs cannot cheaply recompute."""
 
 import tracemalloc
 from pathlib import Path
@@ -12,10 +13,12 @@ from vld.config import load_config
 from vld.errors import ContractError
 from vld.losses import total_loss
 from vld.rng import Rng
+from vld.tensor import Tensor
 from vld.train import (TrainingHeads, all_parameters, build_model,
                        compute_losses, configured_precision)
 
 DESK_CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
+MIB = 1 << 20
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +95,45 @@ def test_held_loss_and_parts_keep_only_the_leaf_gradients(desk_step):
     grads = sum(p.grad.nbytes for p in params if p.grad is not None)
     assert loss is not None and parts["id_cls"] is not None
     assert held <= grads + 512 * 1024, (held, grads)
+
+
+def test_desk_step_graph_has_no_residual_add_nodes(desk_step):
+    """Each block's two residuals are added inside its attention and MLP
+    nodes. Adding them outside, as separate nodes, would make 266."""
+    loss, _ = desk_step[0]()
+    assert sum(n.requires_grad for n in reachable(loss)) == 254
+    loss.backward()
+
+
+def test_desk_step_graph_keeps_only_what_backward_cannot_recompute(desk_step):
+    """Graph memory after forward and at the backward peak. Keeping the MLP's
+    GELU buffers, LayerNorm's normalized input, the outputs separate
+    residual adds would hold, slice copies and concatenated weights would
+    put them at about 19.4 and 19.7 MiB."""
+    build = desk_step[0]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss, _ = build()
+        after_forward = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        backward_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert after_forward < 12 * MIB, after_forward / MIB
+    assert backward_peak < 12.5 * MIB, backward_peak / MIB
+
+
+def test_getitem_is_a_view_and_scatters_its_gradient():
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+    parts = [x[:, 1, :], x[..., 2:, :], x[1]]
+    for part in parts:
+        assert np.shares_memory(part.data, x.data)
+    weights = [np.full(p.shape, float(i + 1)) for i, p in enumerate(parts)]
+    sum((p * w).sum() for p, w in zip(parts, weights)).backward()
+    want = np.zeros((2, 3, 4))
+    want[:, 1, :] += 1.0
+    want[..., 2:, :] += 2.0
+    want[1] += 3.0
+    assert np.array_equal(x.grad, want)
