@@ -3,6 +3,9 @@
 Layout: magic "VLDT", version u16, then records of
 (name length u16, name bytes, dtype code u8, ndim u8, extents u32 each,
 little-endian row-major payload). Round-trips are bit-exact.
+
+``save`` streams records into a container; ``Reader`` indexes one once
+and reads any record by offset, so nothing reads a whole file to get one.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -53,12 +57,19 @@ def _encode(records):
         if name in names:
             raise ContractError(f"record name {name!r} repeated")
         names.add(name)
+        name_bytes = name.encode("utf-8")
+        if len(name_bytes) > 0xFFFF:
+            raise ContractError(f"record name {name[:32]!r}... is "
+                                f"{len(name_bytes)} UTF-8 bytes; at most "
+                                f"65535 fit")
+        if any(n > 0xFFFFFFFF for n in np.shape(arr)):
+            raise ContractError(f"record {name!r} has shape {np.shape(arr)}; "
+                                f"each extent must be below 2**32")
         # np.asarray keeps 0-d records 0-d (ascontiguousarray would not).
         arr = np.asarray(arr, order="C")
         dt = arr.dtype.newbyteorder("<") if arr.dtype.byteorder == ">" else arr.dtype
         if np.dtype(dt) not in _DTYPE_CODES:
             raise ParseError(f"unsupported dtype {arr.dtype} for record {name!r}")
-        name_bytes = name.encode("utf-8")
         yield (struct.pack("<H", len(name_bytes)) + name_bytes
                + struct.pack(f"<BB{arr.ndim}I", _DTYPE_CODES[np.dtype(dt)],
                              arr.ndim, *arr.shape))
@@ -124,22 +135,49 @@ def index(f, path) -> dict[str, tuple[np.dtype, tuple[int, ...], int]]:
     return records
 
 
+class Reader:
+    """A container opened and indexed once: ``records`` maps each name to
+    its dtype, shape and payload offset, in file order. The file stays
+    open until ``close`` or until the reader is collected. A missing
+    container raises DataError, a malformed one ParseError."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        try:
+            self._file = open(self.path, "rb")
+        except FileNotFoundError:
+            raise DataError(f"container not found: {self.path}") from None
+        self.close = weakref.finalize(self, self._file.close)
+        try:
+            self.records = index(self._file, self.path)
+        except BaseException:
+            self.close()
+            raise
+
+    def read(self, name: str) -> np.ndarray:
+        """The named record, read by offset into an array the caller owns.
+
+        Records are read into owned arrays, not viewed through a memory
+        map: with a dataset's frames mapped, nothing long-lived sat on the
+        heap, glibc trimmed it after every desk training step, and the
+        next step faulted about 13 MB back in (65,000 minor faults per 20
+        steps against 6, and 20% slower steps)."""
+        dt, shape, offset = self.records[name]
+        try:
+            arr = np.empty(shape, dt)
+        except ValueError as exc:   # more extents than numpy supports
+            raise ParseError(f"{self.path}: bad record shape: {exc}") from exc
+        if os.preadv(self._file.fileno(), [arr], offset) != arr.nbytes:
+            raise ParseError(f"{self.path}: truncated payload for record "
+                             f"{name!r}")
+        return arr
+
+
 def load(path) -> dict[str, np.ndarray]:
     """Read all records, preserving file order. A malformed container
     raises ParseError, a missing one DataError."""
-    path = Path(path)
+    reader = Reader(path)
     try:
-        f = open(path, "rb")
-    except FileNotFoundError:
-        raise DataError(f"container not found: {path}") from None
-    records: dict[str, np.ndarray] = {}
-    with f:
-        for name, (dt, shape, offset) in index(f, path).items():
-            try:
-                arr = np.empty(shape, dt)
-            except ValueError as exc:   # more extents than numpy supports
-                raise ParseError(f"{path}: bad record shape: {exc}") from exc
-            f.seek(offset)
-            f.readinto(arr)
-            records[name] = arr
-    return records
+        return {name: reader.read(name) for name in reader.records}
+    finally:
+        reader.close()

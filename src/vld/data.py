@@ -9,18 +9,19 @@ way per-frame pooling cannot recover. Visible tracklets mix the pattern
 into three channels through an identity color; infrared collapses the same
 field to one band with an offset and its own noise level.
 
-On disk, a dataset root holds three files:
+On disk, a dataset root holds one file, ``frames.vldt``, a container in
+the package format (``vld.checkpoint``) with these records in order:
 
-- ``frames.vldt``: one container in the package format (``vld.checkpoint``)
-  with one uint8 record of shape [T, H, W, 3] per tracklet, named
-  ``tr<id>`` after its five-digit zero-padded tracklet id, in tracklet
-  order;
-- ``meta.cfg``: the identity split and the seed; identities below
-  ``num_train_identities`` train, the rest test, and a split that leaves
-  either side without a manifest identity does not load;
-- ``manifest.tsv``: one row per tracklet (tracklet id, identity,
-  modality, camera, frame count), written last, so a dataset loads only
-  once every other file is complete.
+- one uint8 record of shape [T, H, W, 3] per tracklet, named ``tr<id>``
+  after its five-digit zero-padded tracklet id, in tracklet order;
+- ``manifest``, int64 [n, 5]: one row per tracklet (tracklet id, identity,
+  modality code, camera, frame count), modality 0 visible and 1 infrared;
+- ``num_train_identities``, int64 0-d: identities below it train, the rest
+  test, and a split that leaves either side without a manifest identity
+  does not load.
+
+The manifest and split come last, so a container cut short anywhere
+lacks them and does not load.
 
 Frames stay in their stored form, uint8 [T, H, W, 3], through loading,
 augmentation and batching; ``vld.hub.VideoModel.forward`` decodes each
@@ -29,20 +30,19 @@ batch to [0, 1].
 
 from __future__ import annotations
 
-import os
-import weakref
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError
 from .rng import Rng, box_muller, unit_interval
 
 VISIBLE = "visible"
 INFRARED = "infrared"
-MANIFEST_HEADER = "tracklet_id\tidentity\tmodality\tcamera\tframe_count"
+MODALITIES = (VISIBLE, INFRARED)   # indexed by the manifest's modality code
 FRAMES_FILE = "frames.vldt"
 
 _VIS_CAMERAS = (0, 1)
@@ -88,14 +88,12 @@ class Tracklet:
 
 @dataclass
 class Dataset:
-    root: Path
+    reader: checkpoint.Reader     # the dataset's open ``frames.vldt``
     tracklets: list[Tracklet]
     num_train_identities: int
 
     def __post_init__(self):
         self._raw: dict[int, np.ndarray] = {}
-        self._fd: int | None = None
-        self._index: dict | None = None
 
     @property
     def train(self) -> list[Tracklet]:
@@ -111,45 +109,21 @@ class Dataset:
         They are read once per tracklet and cached read-only, so every read
         returns the same array and no caller can change the cache."""
         raw = self._raw.get(tracklet.tracklet_id)
-        if raw is None:
-            raw = self._raw[tracklet.tracklet_id] = self._read_record(tracklet)
-            raw.flags.writeable = False
-        return raw
-
-    def _read_record(self, tracklet: Tracklet) -> np.ndarray:
-        """The tracklet's stored frames, read by offset from
-        ``frames.vldt``; the first call opens the container, which stays
-        open while the dataset lives, and indexes its record headers.
-
-        Frames are read into owned arrays, not viewed through a memory
-        map: with mapped frames nothing long-lived sat on the heap, glibc
-        trimmed it after every desk training step, and the next step
-        faulted about 13 MB back in (65,000 minor faults per 20 steps
-        against 6, and 20% slower steps)."""
-        path = self.root / FRAMES_FILE
-        if self._index is None:
-            try:
-                self._fd = os.open(path, os.O_RDONLY)
-            except FileNotFoundError:
-                raise DataError(f"container not found: {path}") from None
-            weakref.finalize(self, os.close, self._fd)
-            with open(self._fd, "rb", closefd=False) as f:
-                self._index = checkpoint.index(f, path)
-        entry = self._index.get(tracklet.record)
+        if raw is not None:
+            return raw
+        entry = self.reader.records.get(tracklet.record)
         if entry is None:
-            raise DataError(f"{path}: no record {tracklet.record} for "
-                            f"tracklet {tracklet.tracklet_id}")
-        dt, shape, offset = entry
+            raise DataError(f"{self.reader.path}: no record {tracklet.record} "
+                            f"for tracklet {tracklet.tracklet_id}")
+        dt, shape, _ = entry
         if (dt != np.uint8 or len(shape) != 4
                 or shape[0] != tracklet.frame_count or shape[3] != 3):
             raise DataError(
-                f"{path}: tracklet {tracklet.tracklet_id} holds {dt} frames "
-                f"of shape {shape}, expected uint8 of shape "
+                f"{self.reader.path}: tracklet {tracklet.tracklet_id} holds "
+                f"{dt} frames of shape {shape}, expected uint8 of shape "
                 f"({tracklet.frame_count}, H, W, 3)")
-        raw = np.empty(shape, np.uint8)
-        if os.preadv(self._fd, [raw], offset) != raw.nbytes:
-            raise ParseError(f"{path}: truncated payload for tracklet "
-                             f"{tracklet.tracklet_id}")
+        raw = self._raw[tracklet.tracklet_id] = self.reader.read(tracklet.record)
+        raw.flags.writeable = False
         return raw
 
 
@@ -236,90 +210,74 @@ def _render_tracklet(identity: int, modality: str, spec: SyntheticSpec,
 def generate(spec: SyntheticSpec, seed: int, root) -> Dataset:
     """Write a deterministic dataset; train/test identities are disjoint.
 
-    The old manifest goes first and the new one last, so a generation cut
-    short leaves no loadable dataset. Tracklets are rendered one at a time
-    and streamed into ``frames.vldt``, so memory holds one tracklet."""
+    Tracklets are rendered one at a time and streamed into
+    ``frames.vldt``, so memory holds one tracklet, and the manifest and
+    split follow them. The container is written atomically, so a
+    generation cut short leaves the old dataset, or none."""
     if spec.num_identities < 2:
         raise ConfigError("need at least 2 identities")
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "manifest.tsv").unlink(missing_ok=True)
     rng = Rng(seed).split("data-synth")
     latents = [_identity_latent(identity, spec, rng)
                for identity in range(spec.num_identities)]
     rows, streams = [], []
     for identity in range(spec.num_identities):
-        for modality in (VISIBLE, INFRARED):
+        for modality in MODALITIES:
             cameras = _VIS_CAMERAS if modality == VISIBLE else _IR_CAMERAS
             for k in range(spec.tracklets_per_identity):
                 rows.append(Tracklet(len(rows), identity, modality,
                                      cameras[k % len(cameras)], spec.frames))
                 streams.append(rng.split(f"tr{identity}/{modality}/{k}"))
-    checkpoint.save(root / FRAMES_FILE, (
-        (row.record, _render_tracklet(row.identity, row.modality, spec,
-                                      latents, stream))
-        for row, stream in zip(rows, streams)))
-    meta = [
-        f"num_train_identities = {spec.num_train_identities}",
-        f"num_test_identities = {spec.num_test_identities}",
-        f"seed = {seed}",
-    ]
-    checkpoint.write_atomic(root / "meta.cfg",
-                            [("\n".join(meta) + "\n").encode()])
-    lines = [MANIFEST_HEADER]
-    for r in rows:
-        lines.append(f"{r.tracklet_id}\t{r.identity}\t{r.modality}\t{r.camera}"
-                     f"\t{r.frame_count}")
-    checkpoint.write_atomic(root / "manifest.tsv",
-                            [("\n".join(lines) + "\n").encode()])
-    return Dataset(root, rows, spec.num_train_identities)
+    manifest = np.array([(r.tracklet_id, r.identity,
+                          MODALITIES.index(r.modality), r.camera,
+                          r.frame_count) for r in rows], dtype=np.int64)
+    checkpoint.save(root / FRAMES_FILE, itertools.chain(
+        ((row.record, _render_tracklet(row.identity, row.modality, spec,
+                                       latents, stream))
+         for row, stream in zip(rows, streams)),
+        [("manifest", manifest),
+         ("num_train_identities",
+          np.array(spec.num_train_identities, dtype=np.int64))]))
+    return Dataset(checkpoint.Reader(root / FRAMES_FILE), rows,
+                   spec.num_train_identities)
+
+
+def _int64_record(reader: checkpoint.Reader, name: str,
+                  shape: tuple) -> np.ndarray:
+    """The named int64 record; its shape must match ``shape`` but for
+    the first extent."""
+    if name not in reader.records:
+        raise DataError(f"{reader.path} has no {name} record, so it is not "
+                        f"a whole dataset; re-run `vld gen-data` to write it")
+    dt, got, _ = reader.records[name]
+    if dt != np.int64 or len(got) != len(shape) or got[1:] != shape[1:]:
+        raise DataError(f"{reader.path}: record {name} holds {dt} of shape "
+                        f"{got}, expected int64 of shape {shape}")
+    return reader.read(name)
 
 
 def load_dataset(root) -> Dataset:
-    root = Path(root)
-    manifest = root / "manifest.tsv"
-    if not manifest.exists():
-        raise DataError(f"no manifest.tsv under {root}")
-    rows = []
-    lines = manifest.read_text().splitlines()
-    header = lines[0] if lines else ""
-    if header == MANIFEST_HEADER + "\tpath":
-        raise DataError(f"{manifest}: the dataset has one file per tracklet, "
-                        f"a layout this version no longer reads; re-run "
-                        f"`vld gen-data` to write it again")
-    if header != MANIFEST_HEADER:
-        raise DataError(f"{manifest}:1: expected the header line, got {header!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            tid, identity, modality, camera, count = line.split("\t")
-            row = Tracklet(int(tid), int(identity), modality, int(camera),
-                           int(count))
-        except ValueError:
-            raise DataError(f"{manifest}:{lineno}: malformed row {line!r}") from None
-        if modality not in (VISIBLE, INFRARED):
-            raise DataError(f"{manifest}:{lineno}: unknown modality {modality!r}")
-        rows.append(row)
-    meta = root / "meta.cfg"
-    for line in (meta.read_text() if meta.exists() else "").splitlines():
-        key, _, value = line.partition("=")
-        if key.strip() != "num_train_identities":
-            continue
-        try:
-            num_train = int(value)
-        except ValueError:
-            raise DataError(f"{meta}: num_train_identities must be an "
-                            f"integer, got {value.strip()!r}") from None
-        identities = {row.identity for row in rows}
-        train = sum(identity < num_train for identity in identities)
-        if not 0 < train < len(identities):
-            raise DataError(f"{meta}: num_train_identities = {num_train} puts "
-                            f"{train} of the manifest's {len(identities)} "
-                            f"identities in training; each side of the split "
-                            f"needs at least one")
-        return Dataset(root, rows, num_train)
-    raise DataError(f"{meta} is missing or has no num_train_identities "
-                    f"line, so the identity split is unknown; re-run "
-                    f"`vld gen-data` to write it")
+    """The dataset ``generate`` wrote under ``root``: the manifest and split
+    are read now and each tracklet's frames on first use, all from one
+    open ``frames.vldt``."""
+    reader = checkpoint.Reader(Path(root) / FRAMES_FILE)
+    manifest = _int64_record(reader, "manifest", ("n", 5))
+    num_train = int(_int64_record(reader, "num_train_identities", ()))
+    bad = np.flatnonzero((manifest[:, 2] != 0) & (manifest[:, 2] != 1))
+    if bad.size:
+        raise DataError(f"{reader.path}: manifest row {bad[0]} has modality "
+                        f"code {manifest[bad[0], 2]}, expected 0 (visible) "
+                        f"or 1 (infrared)")
+    rows = [Tracklet(tid, identity, MODALITIES[code], camera, count)
+            for tid, identity, code, camera, count in manifest.tolist()]
+    identities = {row.identity for row in rows}
+    train = sum(identity < num_train for identity in identities)
+    if not 0 < train < len(identities):
+        raise DataError(f"{reader.path}: num_train_identities = {num_train} "
+                        f"puts {train} of the manifest's {len(identities)} "
+                        f"identities in training; each side of the split "
+                        f"needs at least one")
+    return Dataset(reader, rows, num_train)
 
 
 # -- batch sampling -----------------------------------------------------------
@@ -327,8 +285,8 @@ def load_dataset(root) -> Dataset:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    identities: int = 4           # P
-    tracklets_per_identity: int = 4  # K, per modality
+    identities: int               # P
+    tracklets_per_identity: int   # K, per modality
 
     @property
     def batch_size(self) -> int:

@@ -10,7 +10,7 @@ Counting conventions, also printed in every report:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .encoder import EncoderConfig, count_layer_tokens
 
@@ -161,16 +161,5 @@ def format_report(report: CostReport) -> str:
 
 
 def report_json(report: CostReport) -> dict:
-    return {
-        "params_total": report.params_total,
-        "params_by_module": report.params_by_module,
-        "flops_total": report.flops_total,
-        "macs_total": report.macs_total,
-        "flops_by_module": report.flops_by_module,
-        "tokens_per_layer": report.tokens_per_layer,
-        "stp_param_delta": report.stp_param_delta,
-        "stp_flops_delta": report.stp_flops_delta,
-        "stp_macs_delta": report.stp_macs_delta,
-        "stp_flops_delta_by_module": report.stp_flops_delta_by_module,
-        "notes": list(report.notes),
-    }
+    return {**asdict(report), "macs_total": report.macs_total,
+            "stp_macs_delta": report.stp_macs_delta}

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import checkpoint
 from .config import RunConfig
-from .data import (Dataset, generate, load_dataset, sample_batch, INFRARED,
-                   VISIBLE)
+from .data import (FRAMES_FILE, Dataset, generate, load_dataset, sample_batch,
+                   INFRARED, VISIBLE)
 from .errors import ConfigError
 from .hub import VideoModel
 from .losses import (IdentityHead, identity_cross_entropy, total_loss,
@@ -189,7 +189,7 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
 
     seed = cfg["train.seed"]
     root = Path(cfg["data.root"])
-    if not (root / "manifest.tsv").exists():
+    if not (root / FRAMES_FILE).exists():
         generate(cfg.synthetic_spec(), seed, root)
     dataset = load_dataset(root)
 

@@ -89,6 +89,20 @@ def test_save_refuses_a_repeated_record_name(tmp_path):
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["model.vldt"]
 
+
+def test_save_refuses_a_name_longer_than_its_length_field(tmp_path):
+    """The name length is a u16: 65,535 UTF-8 bytes fit, one more is a
+    ContractError naming the record, with nothing written."""
+    fits = "λ" * 32767 + "n"
+    checkpoint.save(tmp_path / "fits.vldt", [(fits, np.zeros(1))])
+    assert list(checkpoint.load(tmp_path / "fits.vldt")) == [fits]
+    with pytest.raises(ContractError, match="'nnnn.*65536 UTF-8 bytes"):
+        checkpoint.save(tmp_path / "long.vldt", [("n" * 65536, np.zeros(1))])
+    with pytest.raises(ContractError, match="70000 UTF-8 bytes"):
+        checkpoint.save(tmp_path / "long.vldt", [("n" * 70000, np.zeros(1))])
+    assert [p.name for p in tmp_path.iterdir()] == ["fits.vldt"]
+
+
 def test_index_locates_every_payload(tmp_path):
     records = {"w": Rng(6).normal((2, 3)).astype(np.float32),
                "s": np.array(2.5), "e": np.zeros((0, 4), dtype=np.int64),

@@ -40,7 +40,7 @@ def tiny_cfg(tmp_path):
 
 def test_gen_data_and_train_and_eval(tiny_cfg, tmp_path, capsys):
     assert main(["gen-data", "--config", str(tiny_cfg)]) == 0
-    assert (tmp_path / "data" / "manifest.tsv").exists()
+    assert (tmp_path / "data" / "frames.vldt").exists()
 
     out = tmp_path / "run"
     assert main(["train", "--config", str(tiny_cfg), "--out", str(out)]) == 0
@@ -125,7 +125,7 @@ def test_smoke_training_reduces_loss(tiny_cfg, tmp_path):
     assert last_epoch < first_epoch
 
 
-def test_gen_data_writes_three_files_and_rewrites_the_same_bytes(tmp_path):
+def test_gen_data_writes_one_file_and_rewrites_the_same_bytes(tmp_path):
     repo = Path(__file__).resolve().parent.parent
     root = tmp_path / "smoke"
     command = [sys.executable, "-m", "vld.cli", "gen-data", "--config",
@@ -136,7 +136,7 @@ def test_gen_data_writes_three_files_and_rewrites_the_same_bytes(tmp_path):
         proc = subprocess.run(command, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         written.append({p.name: p.read_bytes() for p in root.iterdir()})
-    assert sorted(written[0]) == ["frames.vldt", "manifest.tsv", "meta.cfg"]
+    assert list(written[0]) == ["frames.vldt"]
     assert written[1] == written[0]
 
 

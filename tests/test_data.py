@@ -65,11 +65,23 @@ def test_generation_is_byte_deterministic(tmp_path):
     assert directory_bytes(a) != directory_bytes(c)
 
 
-def test_dataset_root_holds_exactly_three_files(small_dataset):
-    assert sorted(p.name for p in small_dataset.root.iterdir()) == \
-        ["frames.vldt", "manifest.tsv", "meta.cfg"]
-    records = checkpoint.load(small_dataset.root / "frames.vldt")
-    assert list(records) == [f"tr{i:05d}" for i in range(24)]
+def test_dataset_root_holds_exactly_one_container(small_dataset):
+    """The tracklets' frames in order, then the manifest (modality 0
+    visible, 1 infrared) and the split."""
+    path = small_dataset.reader.path
+    assert [p.name for p in path.parent.iterdir()] == ["frames.vldt"]
+    records = checkpoint.load(path)
+    assert list(records) == [f"tr{i:05d}" for i in range(24)] + [
+        "manifest", "num_train_identities"]
+    manifest = records["manifest"]
+    assert manifest.dtype == np.int64 and manifest.shape == (24, 5)
+    np.testing.assert_array_equal(manifest[:, 0], np.arange(24))
+    np.testing.assert_array_equal(manifest[:, 1], np.arange(24) // 4)
+    np.testing.assert_array_equal(manifest[:, 2], np.arange(24) // 2 % 2)
+    np.testing.assert_array_equal(manifest[:, 3], [0, 1, 2, 3] * 6)
+    assert (manifest[:, 4] == 3).all()
+    split = records["num_train_identities"]
+    assert split.dtype == np.int64 and split.shape == () and split == 4
 
 
 # Frame bytes of the configs/desk.cfg dataset at seed 1, concatenated in
@@ -83,7 +95,7 @@ def test_desk_dataset_frames_are_pinned(tmp_path):
     spec = load_config(Path(__file__).parent.parent / "configs" / "desk.cfg") \
         .synthetic_spec()
     ds = generate(spec, 1, tmp_path / "desk")
-    records = checkpoint.load(ds.root / "frames.vldt")
+    records = checkpoint.load(ds.reader.path)
     digest = hashlib.sha256()
     for tracklet in ds.tracklets:
         digest.update(records[tracklet.record].tobytes())
@@ -162,131 +174,125 @@ def test_infrared_is_single_band(small_dataset):
 
 def test_manifest_round_trip(small_dataset):
     ds = small_dataset
-    loaded = load_dataset(ds.root)
+    loaded = load_dataset(ds.reader.path.parent)
     assert loaded.num_train_identities == 4
-    assert [t.tracklet_id for t in loaded.tracklets] == \
-        [t.tracklet_id for t in ds.tracklets]
+    assert loaded.tracklets == ds.tracklets
+    for tracklet in ds.tracklets:
+        assert loaded.load_frames(tracklet).tobytes() == \
+            ds.load_frames(tracklet).tobytes()
 
 
-
-# Identity 0 trains and identity 1 tests under write_manifest's split.
-MANIFEST = ("tracklet_id\tidentity\tmodality\tcamera\tframe_count\n"
-            "0\t0\tvisible\t0\t3\n"
-            "1\t1\tinfrared\t2\t3\n")
-
-
-def write_manifest(root, text):
-    root.mkdir(exist_ok=True)
-    (root / "meta.cfg").write_text("num_train_identities = 1\n")
-    (root / "manifest.tsv").write_text(text)
+@pytest.fixture()
+def small_copy(small_dataset, tmp_path):
+    """A copy of the small dataset's root, free to corrupt."""
+    root = tmp_path / "d"
+    shutil.copytree(small_dataset.reader.path.parent, root)
     return root
 
 
-def test_every_truncated_manifest_loads_whole_rows_or_is_data_error(tmp_path):
-    root = tmp_path / "d"
-    for cut in range(len(MANIFEST) + 1):
-        text = MANIFEST[:cut]
-        lines = text.splitlines()
-        partial = "" if text.endswith("\n") or len(lines) < 2 else lines[-1]
-        write_manifest(root, text)
-        if cut < MANIFEST.index("\n"):   # inside the header line
-            with pytest.raises(DataError, match=":1:"):
-                load_dataset(root)
-            continue
-        # Every row ends in a one-digit frame count, so a cut row is either
-        # whole or malformed.
-        if partial and partial not in MANIFEST.splitlines():
-            with pytest.raises(DataError, match=f":{len(lines)}:"):
-                load_dataset(root)
-            continue
-        whole_rows = max(len(lines) - 1, 0)
-        if whole_rows < 2:      # no test identity (or none at all) left
-            with pytest.raises(DataError, match="meta.cfg"):
-                load_dataset(root)
-            continue
-        loaded = load_dataset(root)
-        assert [t.tracklet_id for t in loaded.tracklets] == [0, 1]
+def rewrite_records(root, **changes):
+    """Rewrite ``root``'s container with some records replaced, or dropped
+    where the change is None."""
+    path = root / "frames.vldt"
+    records = checkpoint.load(path)
+    for name, arr in changes.items():
+        if arr is None:
+            del records[name]
+        else:
+            records[name] = arr
+    checkpoint.save(path, records)
 
 
-@pytest.mark.parametrize("crash_at", ["third tracklet", "meta.cfg",
-                                      "manifest.tsv"])
-def test_generation_cut_short_leaves_no_loadable_dataset(tmp_path,
-                                                         monkeypatch, crash_at):
-    # Regenerate over a complete dataset, so an old manifest, meta.cfg and
-    # frames container are there to be picked up by mistake. Each crash
-    # happens while a temporary file is half written.
+def test_regeneration_cut_short_keeps_the_old_container(tmp_path,
+                                                        monkeypatch):
+    """Killed at the third tracklet, the regeneration leaves the old
+    container byte for byte, no temporary file, and the old dataset."""
     root = tmp_path / "d"
-    generate(SMALL, 1, root)
+    old = generate(SMALL, 1, root)
+    blob = (root / "frames.vldt").read_bytes()
     rendered = []
-    real_render, real_write = data._render_tracklet, checkpoint.write_atomic
+    real_render = data._render_tracklet
 
     def render(*args):
         rendered.append(args[0])
-        if crash_at == "third tracklet" and len(rendered) == 3:
+        if len(rendered) == 3:
             raise OSError("killed mid-generation")
         return real_render(*args)
 
-    def write(path, chunks):
-        def cut():
-            yield from chunks
-            if Path(path).name == crash_at:
-                raise OSError("killed mid-generation")
-        real_write(path, cut())
-
     monkeypatch.setattr(data, "_render_tracklet", render)
-    monkeypatch.setattr(checkpoint, "write_atomic", write)
     with pytest.raises(OSError, match="killed"):
         generate(SMALL, 2, root)
-    assert len(rendered) == (3 if crash_at == "third tracklet" else 24)
-    assert not list(root.rglob("*.tmp"))
-    with pytest.raises(DataError, match="no manifest"):
+    assert len(rendered) == 3
+    assert [p.name for p in root.iterdir()] == ["frames.vldt"]
+    assert (root / "frames.vldt").read_bytes() == blob
+    assert load_dataset(root).tracklets == old.tracklets
+
+
+@pytest.mark.parametrize("record", ["manifest", "num_train_identities"])
+def test_container_without_a_dataset_record_is_data_error(small_copy, record):
+    root = small_copy
+    rewrite_records(root, **{record: None})
+    with pytest.raises(DataError, match=f"no {record} record.*"
+                                        f"re-run `vld gen-data`"):
         load_dataset(root)
 
 
-def test_manifest_of_the_per_file_layout_asks_to_regenerate(tmp_path):
-    old = MANIFEST.replace("frame_count\n", "frame_count\tpath\n")
-    root = write_manifest(tmp_path / "d", old)
+def test_three_file_root_asks_to_regenerate(small_dataset, small_copy,
+                                            tmp_path):
+    """A root in the earlier layout: frames.vldt holds only the frames,
+    and manifest.tsv and meta.cfg sit beside it. It does not load, and
+    `vld train` exits 3 without regenerating over it."""
+    root = small_copy
+    rewrite_records(root, manifest=None, num_train_identities=None)
+    (root / "manifest.tsv").write_text(
+        "tracklet_id\tidentity\tmodality\tcamera\tframe_count\n" + "".join(
+            f"{t.tracklet_id}\t{t.identity}\t{t.modality}\t{t.camera}"
+            f"\t{t.frame_count}\n" for t in small_dataset.tracklets))
+    (root / "meta.cfg").write_text("num_train_identities = 4\n"
+                                   "num_test_identities = 2\nseed = 1\n")
+    blob = (root / "frames.vldt").read_bytes()
     with pytest.raises(DataError, match="re-run `vld gen-data`"):
         load_dataset(root)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN_CONFIG + f"data.root = {root}\n")
+    assert main(["train", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert not (tmp_path / "run" / "final.vldt").exists()
+    assert (root / "frames.vldt").read_bytes() == blob
 
 
-def test_headerless_manifest_is_data_error(tmp_path):
-    rows = MANIFEST.split("\n", 1)[1]
-    root = write_manifest(tmp_path / "d", rows)
-    with pytest.raises(DataError, match=":1:"):
+@pytest.mark.parametrize("manifest, message", [
+    (np.zeros((24, 5)), "float64"),
+    (np.zeros((24, 4), dtype=np.int64), r"\(24, 4\)"),
+    (np.zeros(24, dtype=np.int64), r"\(24,\)"),
+], ids=["float64", "4 fields", "1-d"])
+def test_malformed_manifest_record_is_data_error(small_copy, manifest,
+                                                 message):
+    root = small_copy
+    rewrite_records(root, manifest=manifest)
+    with pytest.raises(DataError, match=message):
         load_dataset(root)
 
 
-@pytest.mark.parametrize("row", (1, 2))
-@pytest.mark.parametrize("field, bad", [
-    (0, "x"), (0, "1.5"), (0, ""), (1, "x"), (1, ""), (2, "thermal"),
-    (2, "Visible"), (2, ""), (3, "x"), (3, ""), (4, "x"), (4, "3.0"),
-    (4, ""), (None, "extra"), (None, None)])
-def test_every_corrupted_manifest_field_is_data_error(tmp_path, row, field,
-                                                       bad):
-    lines = MANIFEST.splitlines()
-    fields = lines[row].split("\t")
-    if field is not None:
-        fields[field] = bad
-    elif bad is None:
-        fields.pop()           # a field missing
-    else:
-        fields.append(bad)     # a field too many
-    lines[row] = "\t".join(fields)
-    root = write_manifest(tmp_path / "d", "\n".join(lines) + "\n")
-    with pytest.raises(DataError, match=f":{row + 1}:"):
+@pytest.mark.parametrize("code", [2, -1])
+def test_unknown_modality_code_is_data_error(small_copy, code):
+    root = small_copy
+    manifest = checkpoint.load(root / "frames.vldt")["manifest"]
+    manifest[5, 2] = code
+    rewrite_records(root, manifest=manifest)
+    with pytest.raises(DataError, match=f"row 5 has modality code {code}"):
         load_dataset(root)
 
 
 @pytest.mark.parametrize("num_train", [99, 6, 0, -3])
-def test_split_leaving_a_side_empty_is_data_error(small_dataset, tmp_path,
+def test_split_leaving_a_side_empty_is_data_error(small_copy, tmp_path,
                                                   num_train):
     """SMALL has identities 0-5: each count here puts all of them on one
     side of the split, through load_dataset and through `vld train`."""
-    root = tmp_path / "d"
-    shutil.copytree(small_dataset.root, root)
-    (root / "meta.cfg").write_text(f"num_train_identities = {num_train}\n")
-    with pytest.raises(DataError, match="meta.cfg"):
+    root = small_copy
+    rewrite_records(root, num_train_identities=np.array(num_train,
+                                                        dtype=np.int64))
+    with pytest.raises(DataError, match="num_train_identities"):
         load_dataset(root)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_RUN_CONFIG + f"data.root = {root}\n")
@@ -295,23 +301,13 @@ def test_split_leaving_a_side_empty_is_data_error(small_dataset, tmp_path,
     assert not (tmp_path / "run" / "final.vldt").exists()
 
 
-def test_non_integer_train_identity_count_is_data_error(tmp_path):
-    root = write_manifest(tmp_path / "d", MANIFEST)
-    (root / "meta.cfg").write_text("num_train_identities = many\n")
-    with pytest.raises(DataError, match="num_train_identities"):
-        load_dataset(root)
-
-
-@pytest.mark.parametrize("meta", [None, "seed = 1\n"])
-def test_missing_train_identity_count_is_data_error(tmp_path, meta):
-    """Without the split every identity would train and none would test."""
-    root = write_manifest(tmp_path / "d", MANIFEST)
-    if meta is None:
-        (root / "meta.cfg").unlink()
-    else:
-        (root / "meta.cfg").write_text(meta)
-    with pytest.raises(DataError, match="meta.cfg"):
-        load_dataset(root)
+def test_non_integer_train_identity_count_is_data_error(small_copy):
+    """The split is one int64: not a float64, not a 1-element vector."""
+    root = small_copy
+    for split in (np.array(4.0), np.array([4], dtype=np.int64)):
+        rewrite_records(root, num_train_identities=split)
+        with pytest.raises(DataError, match="num_train_identities"):
+            load_dataset(root)
 
 
 def test_cross_modal_correlation_floor(tmp_path):
@@ -348,7 +344,8 @@ def test_single_precision_frames_equal_rounded_double_frames(tmp_path):
     tracklet = Tracklet(0, 0, VISIBLE, 0, 1)
     checkpoint.save(tmp_path / "frames.vldt",
                     {tracklet.record: np.repeat(values, 3, axis=3)})
-    frames = Dataset(tmp_path, [tracklet], 1).load_frames(tracklet)[None]
+    frames = Dataset(checkpoint.Reader(tmp_path / "frames.vldt"), [tracklet],
+                     1).load_frames(tracklet)[None]
     model = VideoModel(EncoderConfig(image_h=16, image_w=16, patch=8,
                                      depth=1, dim=8, heads=2),
                        frames=1, rng=Rng(1), use_hub=False, insertion_layer=1)
@@ -389,8 +386,9 @@ def test_tracklet_file_without_frames_record_is_data_error(tmp_path):
     """A container cut right after its header is well formed but empty."""
     (tmp_path / "frames.vldt").write_bytes(b"VLDT\x01\x00")
     tracklet = Tracklet(0, 0, VISIBLE, 0, 1)
+    reader = checkpoint.Reader(tmp_path / "frames.vldt")
     with pytest.raises(DataError, match="tracklet 0"):
-        Dataset(tmp_path, [tracklet], 1).load_frames(tracklet)
+        Dataset(reader, [tracklet], 1).load_frames(tracklet)
 
 
 @pytest.mark.parametrize("stored", [
@@ -403,35 +401,37 @@ def test_tracklet_file_without_frames_record_is_data_error(tmp_path):
 def test_malformed_tracklet_record_is_data_error(tmp_path, stored):
     tracklet = Tracklet(7, 0, VISIBLE, 0, 3)
     checkpoint.save(tmp_path / "frames.vldt", {tracklet.record: stored})
+    reader = checkpoint.Reader(tmp_path / "frames.vldt")
     with pytest.raises(DataError, match="tracklet 7"):
-        Dataset(tmp_path, [tracklet], 1).load_frames(tracklet)
+        Dataset(reader, [tracklet], 1).load_frames(tracklet)
 
 
 def test_missing_frames_container_is_data_error(tmp_path):
-    root = write_manifest(tmp_path / "d", MANIFEST)
-    ds = load_dataset(root)
+    (tmp_path / "d").mkdir()
     with pytest.raises(DataError, match="frames.vldt"):
-        ds.load_frames(ds.tracklets[0])
+        load_dataset(tmp_path / "d")
 
 
 def _three_tracklet_container(root):
-    """A dataset of three 2-frame tracklets, its frames.vldt bytes, and the
-    byte positions of every header field of the container."""
+    """A dataset container of three 2-frame tracklets (identity 0 trains,
+    identity 1 tests), its bytes, and the byte positions of every header
+    field of its five records."""
     tracklets = [Tracklet(i, i // 2, (VISIBLE, INFRARED)[i % 2], 0, 2)
                  for i in range(3)]
-    write_manifest(root, data.MANIFEST_HEADER + "\n" + "".join(
-        f"{t.tracklet_id}\t{t.identity}\t{t.modality}\t{t.camera}"
-        f"\t{t.frame_count}\n" for t in tracklets))
     frames = (Rng(3).uniform((3, 2, 4, 2, 3)) * 255).astype(np.uint8)
-    checkpoint.save(root / "frames.vldt",
-                    [(t.record, f) for t, f in zip(tracklets, frames)])
+    manifest = [(t.tracklet_id, t.identity, data.MODALITIES.index(t.modality),
+                 t.camera, t.frame_count) for t in tracklets]
+    records = {**{t.record: f for t, f in zip(tracklets, frames)},
+               "manifest": np.array(manifest, dtype=np.int64),
+               "num_train_identities": np.array(1, dtype=np.int64)}
+    checkpoint.save(root / "frames.vldt", records)
     blob = (root / "frames.vldt").read_bytes()
     header, offset = list(range(6)), 6   # magic, version
-    for f in frames:
+    for name, arr in records.items():
         # name length u16, name, dtype code u8, ndim u8, extents u32 each
-        head = 2 + len("tr00000") + 2 + 4 * f.ndim
+        head = 2 + len(name) + 2 + 4 * arr.ndim
         header.extend(range(offset, offset + head))
-        offset += head + f.nbytes
+        offset += head + arr.nbytes
     assert offset == len(blob)
     return blob, header
 
@@ -443,7 +443,9 @@ def _load_every_tracklet(root):
 
 
 def test_every_prefix_of_the_frames_container_is_rejected(tmp_path):
+    """Every prefix lacks at least the split, the last record."""
     root = tmp_path / "d"
+    root.mkdir()
     blob, _ = _three_tracklet_container(root)
     _load_every_tracklet(root)
     for n in range(len(blob)):
@@ -454,6 +456,7 @@ def test_every_prefix_of_the_frames_container_is_rejected(tmp_path):
 
 def test_every_frames_header_byte_set_to_ff_is_rejected(tmp_path):
     root = tmp_path / "d"
+    root.mkdir()
     blob, header = _three_tracklet_container(root)
     for pos in header:
         corrupt = bytearray(blob)
