@@ -202,6 +202,7 @@ class VisionEncoder:
         if frames.shape[1] == 0:
             raise DataError("tracklet has no frames")
         x = self.embed(frames)
+        del frames   # decoded pixels are dead once embedded
         attached = False
         last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):

@@ -9,6 +9,8 @@ report. No same-camera filtering is applied.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +53,41 @@ def extract_features(model, dataset: Dataset, tracklets: list[Tracklet],
     float64 before they are normalised, whatever the model's precision:
     in float32 a matrix product and per-query products round similarities
     differently, and near-ties swap places.
+
+    Every ``EXTRACT_BATCH`` tracklets are one no-grad ``model.forward``.
+    When the process may run on more than one CPU, the calling thread runs
+    the even batches and one helper thread, joined before return, the odd
+    ones: numpy releases the interpreter lock in its BLAS calls and ufunc
+    loops, most of a forward, so the two overlap. A batch's rows do not
+    depend on the thread that ran it. If a batch raises, the helper's
+    queued batches are cancelled and the error reaches the caller.
     """
-    feats = []
-    with no_grad():
-        for start in range(0, len(tracklets), EXTRACT_BATCH):
-            chunk = tracklets[start:start + EXTRACT_BATCH]
-            frames = np.stack([dataset.load_frames(t) for t in chunk])
+    batches = [tracklets[start:start + EXTRACT_BATCH]
+               for start in range(0, len(tracklets), EXTRACT_BATCH)]
+
+    def run(chunk):
+        frames = np.stack([dataset.load_frames(t) for t in chunk])
+        with no_grad():   # grad mode is per thread
             seq, hub_seq = model.forward(frames, hub_feature=use_hub_feature)
-            out = seq if hub_seq is None else hub_seq
-            feats.append(out.data)
+        return (seq if hub_seq is None else hub_seq).data
+
+    if len(os.sched_getaffinity(0)) < 2:
+        feats = [run(chunk) for chunk in batches]
+    else:
+        feats = [None] * len(batches)
+        # One helper, not a pool of two: glibc gives each new thread its
+        # own malloc arena, which keeps that thread's high-water mark.
+        helper = ThreadPoolExecutor(max_workers=1)
+        try:
+            odd = {i: helper.submit(run, batches[i])
+                   for i in range(1, len(batches), 2)}
+            for i in range(0, len(batches), 2):
+                feats[i] = run(batches[i])
+            for i, future in odd.items():
+                feats[i] = future.result()
+        finally:
+            # After a raise, the helper's queued batches never start.
+            helper.shutdown(cancel_futures=True)
     features = (np.concatenate(feats, axis=0, dtype=np.float64) if feats
                 else np.zeros((0, 1)))
     norms = np.linalg.norm(features, axis=1, keepdims=True)

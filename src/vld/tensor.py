@@ -4,7 +4,8 @@ numpy supplies the raw array arithmetic; this module adds graph recording
 and the vector-Jacobian products for every primitive the model needs.
 Tensors take the process default dtype, float64 unless
 ``set_default_dtype`` says otherwise, so gradient checks and tensors
-built directly have double-precision headroom. Training and evaluation
+built directly have double-precision headroom. Whether ops record a
+graph is per thread (``no_grad``); the default dtype is per process. Training and evaluation
 run in float32 by default: ``vld.train.configured_precision`` makes the
 run's ``train.precision`` (``single`` unless a config says ``double``)
 the default for the run only; ``vld.hub.VideoModel.forward`` decodes the
@@ -42,13 +43,13 @@ holds the composition.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 
 _DEFAULT_DTYPE = np.float64
-_GRAD_ENABLED = True
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
@@ -66,18 +67,26 @@ def default_dtype():
     return _DEFAULT_DTYPE
 
 
+class _GradMode(threading.local):
+    """Whether ops record graph nodes, per thread: a ``no_grad`` block in
+    one thread leaves recording in every other thread as it was."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
 class no_grad:
-    """Context manager that disables graph recording."""
+    """Context manager that disables graph recording in the calling thread."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_MODE.enabled = self._prev
         return False
 
 
@@ -236,7 +245,7 @@ def as_tensor(x) -> Tensor:
 
 def _records(parents) -> bool:
     """Whether an op on ``parents`` becomes a graph node."""
-    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    return _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
 
 
 def _make(data: np.ndarray, parents: tuple, vjp) -> Tensor:
@@ -466,9 +475,12 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        return ga, gb
 
     return _make(data, (a, b), vjp)
 
@@ -489,9 +501,9 @@ def linear(x, w, b) -> Tensor:
 
     def vjp(g):
         g2 = g.reshape(-1, h)
-        gx = (g2 @ w.data.T).reshape(x.data.shape)
-        gw = x2.T @ g2
-        gb = g2.sum(axis=0)
+        gx = (g2 @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
+        gw = x2.T @ g2 if w.requires_grad else None
+        gb = g2.sum(axis=0) if b.requires_grad else None
         return gx, gw, gb
 
     return _make(data, (x, w, b), vjp)
@@ -539,14 +551,18 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
         lead = tuple(range(g.ndim - 1))
         xhat = x.data - mu
         xhat *= inv
-        dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
+        dx = dgain = dbias = None
+        if x.requires_grad:
+            dxhat = g * gain.data
+            dx = inv * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
+        if gain.requires_grad:
+            dgain = (g * xhat).sum(axis=lead)
+        if bias.requires_grad:
+            dbias = g.sum(axis=lead)
         return dx, dgain, dbias
 
     return _make(data, (x, gain, bias), vjp)
@@ -603,6 +619,7 @@ def mlp(x, w1, b1, w2, b2, residual=None) -> Tensor:
     # Without a graph the pre-activation is dead here: scale it in place.
     act = pre * 0.5 if _records(parents) else np.multiply(pre, 0.5, out=pre)
     act *= gate
+    del gate
     out = act @ w2.data
     out += b2.data
     out = out.reshape(*x.data.shape[:-1], out_dim)

@@ -1,5 +1,8 @@
 """Retrieval evaluation against a from-scratch brute-force oracle."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -232,6 +235,112 @@ def test_readout_runs_only_for_the_hub_feature(tmp_path, monkeypatch):
     expected = np.concatenate(hub_seqs)
     expected /= np.linalg.norm(expected, axis=1, keepdims=True)
     np.testing.assert_array_equal(index.features, expected)
+
+
+def serial_rows(model, dataset, tracklets, use_hub_feature=False):
+    """extract_features' rows from a per-batch forward in this thread."""
+    from vld.retrieval import EXTRACT_BATCH
+    from vld.tensor import no_grad
+
+    rows = []
+    with no_grad():
+        for start in range(0, len(tracklets), EXTRACT_BATCH):
+            frames = np.stack([dataset.load_frames(t) for t in
+                               tracklets[start:start + EXTRACT_BATCH]])
+            seq, hub_seq = model.forward(frames, hub_feature=use_hub_feature)
+            rows.append((seq if hub_seq is None else hub_seq).data)
+    rows = np.concatenate(rows, dtype=np.float64)
+    return rows / np.maximum(np.linalg.norm(rows, axis=1, keepdims=True),
+                             1e-12)
+
+
+@pytest.mark.parametrize("use_hub_feature", [False, True])
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+def test_extracted_rows_equal_a_serial_forward(tmp_path, monkeypatch,
+                                               use_hub_feature, cpus):
+    """Three batches, the last one short, with tracklets repeated in other
+    batches: the rows equal a serial per-batch forward bit for bit, whether
+    a helper thread runs or the caller runs alone."""
+    from vld.retrieval import EXTRACT_BATCH, extract_features
+
+    dataset, model = extract_problem(tmp_path / "d")
+    picks = dataset.tracklets * 2 + dataset.tracklets[::4]
+    assert 2 * EXTRACT_BATCH < len(picks) < 3 * EXTRACT_BATCH
+    want = serial_rows(model, dataset, picks, use_hub_feature)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    threads = set()
+    real = model.forward
+
+    def forward(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", forward)
+    before = threading.active_count()
+    index = extract_features(model, dataset, picks,
+                             use_hub_feature=use_hub_feature)
+    assert threading.active_count() == before
+    assert len(threads) == len(cpus)
+    np.testing.assert_array_equal(index.features, want)
+    np.testing.assert_array_equal(
+        index.tracklet_ids, [t.tracklet_id for t in picks])
+
+
+def test_helper_thread_data_error_reaches_the_caller(tmp_path, monkeypatch):
+    from vld.retrieval import extract_features
+
+    dataset, model = extract_problem(tmp_path / "d")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    caller = threading.get_ident()
+    real = dataset.load_frames
+
+    def load_frames(tracklet):
+        if threading.get_ident() != caller:
+            raise DataError(f"unreadable tracklet {tracklet.tracklet_id}")
+        return real(tracklet)
+
+    monkeypatch.setattr(dataset, "load_frames", load_frames)
+    before = threading.active_count()
+    with pytest.raises(DataError, match="unreadable tracklet"):
+        extract_features(model, dataset, dataset.tracklets)
+    assert threading.active_count() == before
+
+
+def test_a_raise_cancels_the_helpers_queued_batches(tmp_path, monkeypatch):
+    """The caller's first batch raises while the helper is in its first;
+    the helper's other batches never start."""
+    from vld.retrieval import EXTRACT_BATCH, extract_features
+    from vld.tensor import Tensor
+
+    dataset, model = extract_problem(tmp_path / "d")
+    picks = dataset.tracklets * 4
+    assert len(picks) > 4 * EXTRACT_BATCH
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    caller = threading.get_ident()
+    helper_started, release = threading.Event(), threading.Event()
+    helper_batches = []
+    timers = []
+
+    def forward(frames, hub_feature=True):
+        if threading.get_ident() == caller:
+            assert helper_started.wait(10)
+            # Let the helper finish its batch well after this raise.
+            timers.append(threading.Timer(0.3, release.set))
+            timers[0].start()
+            raise DataError("caller batch failed")
+        helper_batches.append(len(frames))
+        helper_started.set()
+        assert release.wait(10)
+        return Tensor(np.zeros((len(frames), 16))), None
+
+    monkeypatch.setattr(model, "forward", forward)
+    before = threading.active_count()
+    with pytest.raises(DataError, match="caller batch failed"):
+        extract_features(model, dataset, picks)
+    timers[0].join(10)
+    assert not timers[0].is_alive()
+    assert threading.active_count() == before
+    assert helper_batches == [EXTRACT_BATCH]
 
 
 # The desk model and data on small frames, with a 300-tracklet gallery per

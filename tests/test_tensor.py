@@ -1,5 +1,7 @@
 """Tensor core: op semantics plus finite-difference gradient checks."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,8 @@ from vld.errors import ConfigError, ContractError, ShapeError
 from vld.rng import Rng
 from reference import gelu, softmax, tlog, ttanh
 from vld.tensor import (Tensor, broadcast_to, clamp_max, concat, div,
-                        layer_norm, logsumexp, matmul, no_grad, reshape,
-                        softplus, swap_axes, texp, transpose, tsqrt)
+                        layer_norm, linear, logsumexp, matmul, no_grad,
+                        reshape, softplus, swap_axes, texp, transpose, tsqrt)
 
 
 def rand(shape, seed=0, std=1.0):
@@ -301,6 +303,57 @@ def test_no_grad_blocks_graph():
     with no_grad():
         y = (x * x).sum()
     assert not y.requires_grad
+
+
+def test_no_grad_in_one_thread_leaves_recording_in_another():
+    x = Tensor(rand((3,), 35), requires_grad=True)
+    entered, done = threading.Event(), threading.Event()
+    seen = {}
+
+    def other():
+        with no_grad():
+            entered.set()
+            done.wait(10)
+            seen["other"] = (x * x).requires_grad
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    try:
+        assert entered.wait(10)
+        recorded = (x * x).sum()
+    finally:
+        done.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert recorded.requires_grad and seen == {"other": False}
+    recorded.backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+
+
+def _vjp_grads(build, inputs, frozen):
+    """The VJP's outputs for a unit cotangent, with the parents ``frozen``
+    (indices into ``inputs``) not requiring a gradient."""
+    tensors = [Tensor(a, requires_grad=i not in frozen)
+               for i, a in enumerate(inputs)]
+    out = build(*tensors)
+    return out._vjp(np.ones_like(out.data))
+
+
+@pytest.mark.parametrize("build, shapes, frozen", [
+    (linear, [(2, 3, 4), (4, 5), (5,)], (0,)),          # the patch embed
+    (layer_norm, [(2, 3, 4), (4,), (4,)], (1, 2)),      # frozen text norms
+    (matmul, [(3, 4), (4, 5)], (1,)),                   # frozen projection
+    (matmul, [(3, 4), (4, 5)], (0,)),
+], ids=["linear-input", "layer_norm-affine", "matmul-right", "matmul-left"])
+def test_vjp_skips_gradients_no_parent_needs(build, shapes, frozen):
+    inputs = [rand(shape, 40 + i) for i, shape in enumerate(shapes)]
+    full = _vjp_grads(build, inputs, ())
+    skipped = _vjp_grads(build, inputs, frozen)
+    for i, (want, got) in enumerate(zip(full, skipped)):
+        if i in frozen:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
 
 
 def test_forward_backward_deterministic():
