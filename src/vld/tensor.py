@@ -4,11 +4,11 @@ numpy supplies the raw array arithmetic; this module adds graph recording
 and the vector-Jacobian products for every primitive the model needs.
 Tensors take the process default dtype, float64 unless
 ``set_default_dtype`` says otherwise, so gradient checks and tensors
-built directly have double-precision headroom. Whether ops record a
-graph is per thread (``no_grad``); the default dtype is per process. Training and evaluation
-run in float32 by default: ``vld.train.configured_precision`` makes the
-run's ``train.precision`` (``single`` unless a config says ``double``)
-the default for the run only; ``vld.hub.VideoModel.forward`` decodes the
+built directly have double-precision headroom; whether ops record a
+graph (``no_grad``) is set per thread. Training and evaluation run in
+float32 by default: ``vld.train.configured_precision`` makes the run's
+``train.precision`` (``single`` unless a config says ``double``) the
+default for the run only; ``vld.hub.VideoModel.forward`` decodes the
 stored uint8 frames into it. Retrieval ranks in float64 whatever the
 model's precision.
 
@@ -26,8 +26,11 @@ buffers are recomputed in backward by the same operations the forward ran,
 so gradients are unchanged bit for bit. ``mlp`` keeps its pre-activation
 and ``layer_norm`` its per-row mean and inverse deviation; ``attention``
 keeps its projections, probabilities and mixed values, and concatenates a
-shared projection weight again in backward. No op writes into its inputs,
-so ``getitem`` returns a view and a VJP may read its parents' data.
+shared projection weight again in backward. The VJPs of the products
+(``matmul``, ``linear``, ``mlp``, ``attention``) and of ``layer_norm``
+return None for a parent that requires no gradient, and skip its work.
+No op writes into its inputs, so ``getitem`` returns a view and a VJP
+may read its parents' data.
 
 Numerics contract of the fused nodes (``mlp``, ``attention``): the forward
 runs the same floating-point operations in the same order as the
