@@ -71,23 +71,23 @@ def extract_features(model, dataset: Dataset, tracklets: list[Tracklet],
             seq, hub_seq = model.forward(frames, hub_feature=use_hub_feature)
         return (seq if hub_seq is None else hub_seq).data
 
-    if len(os.sched_getaffinity(0)) < 2:
-        feats = [run(chunk) for chunk in batches]
-    else:
-        feats = [None] * len(batches)
-        # One helper, not a pool of two: glibc gives each new thread its
-        # own malloc arena, which keeps that thread's high-water mark.
-        helper = ThreadPoolExecutor(max_workers=1)
-        try:
-            odd = {i: helper.submit(run, batches[i])
-                   for i in range(1, len(batches), 2)}
-            for i in range(0, len(batches), 2):
-                feats[i] = run(batches[i])
-            for i, future in odd.items():
-                feats[i] = future.result()
-        finally:
-            # After a raise, the helper's queued batches never start.
-            helper.shutdown(cancel_futures=True)
+    helped = (range(1, len(batches), 2) if len(os.sched_getaffinity(0)) > 1
+              else ())
+    feats = [None] * len(batches)
+    # One helper, not a pool of two: glibc gives each new thread its own
+    # malloc arena, which keeps that thread's high-water mark. The helper
+    # thread starts only once a batch is submitted to it.
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
+        futures = {i: helper.submit(run, batches[i]) for i in helped}
+        for i, chunk in enumerate(batches):
+            if i not in futures:
+                feats[i] = run(chunk)
+        for i, future in futures.items():
+            feats[i] = future.result()
+    finally:
+        # After a raise, the helper's queued batches never start.
+        helper.shutdown(cancel_futures=True)
     features = (np.concatenate(feats, axis=0, dtype=np.float64) if feats
                 else np.zeros((0, 1)))
     norms = np.linalg.norm(features, axis=1, keepdims=True)

@@ -187,6 +187,23 @@ def extract_problem(root):
     return dataset, build_model(cfg, Rng(1).split("init"))
 
 
+def serial_rows(model, dataset, tracklets, use_hub_feature=False):
+    """extract_features' rows from a per-batch forward in this thread."""
+    from vld.retrieval import EXTRACT_BATCH
+    from vld.tensor import no_grad
+
+    rows = []
+    with no_grad():
+        for start in range(0, len(tracklets), EXTRACT_BATCH):
+            frames = np.stack([dataset.load_frames(t) for t in
+                               tracklets[start:start + EXTRACT_BATCH]])
+            seq, hub_seq = model.forward(frames, hub_feature=use_hub_feature)
+            rows.append((seq if hub_seq is None else hub_seq).data)
+    rows = np.concatenate(rows, dtype=np.float64)
+    return rows / np.maximum(np.linalg.norm(rows, axis=1, keepdims=True),
+                             1e-12)
+
+
 def test_extract_features_contract(tmp_path):
     from vld.retrieval import extract_features
 
@@ -227,31 +244,8 @@ def test_readout_runs_only_for_the_hub_feature(tmp_path, monkeypatch):
     assert calls == []
     index = extract_features(model, dataset, picks, use_hub_feature=True)
     assert len(calls) == 2
-    hub_seqs = []
-    for start in (0, EXTRACT_BATCH):
-        frames = np.stack([dataset.load_frames(t)
-                           for t in picks[start:start + EXTRACT_BATCH]])
-        hub_seqs.append(model.forward(frames)[1].data)
-    expected = np.concatenate(hub_seqs)
-    expected /= np.linalg.norm(expected, axis=1, keepdims=True)
-    np.testing.assert_array_equal(index.features, expected)
-
-
-def serial_rows(model, dataset, tracklets, use_hub_feature=False):
-    """extract_features' rows from a per-batch forward in this thread."""
-    from vld.retrieval import EXTRACT_BATCH
-    from vld.tensor import no_grad
-
-    rows = []
-    with no_grad():
-        for start in range(0, len(tracklets), EXTRACT_BATCH):
-            frames = np.stack([dataset.load_frames(t) for t in
-                               tracklets[start:start + EXTRACT_BATCH]])
-            seq, hub_seq = model.forward(frames, hub_feature=use_hub_feature)
-            rows.append((seq if hub_seq is None else hub_seq).data)
-    rows = np.concatenate(rows, dtype=np.float64)
-    return rows / np.maximum(np.linalg.norm(rows, axis=1, keepdims=True),
-                             1e-12)
+    np.testing.assert_array_equal(index.features,
+                                  serial_rows(model, dataset, picks, True))
 
 
 @pytest.mark.parametrize("use_hub_feature", [False, True])
@@ -318,27 +312,26 @@ def test_a_raise_cancels_the_helpers_queued_batches(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     caller = threading.get_ident()
     helper_started, release = threading.Event(), threading.Event()
+    # Lets the helper finish its batch well after the caller's raise.
+    timer = threading.Timer(0.3, release.set)
     helper_batches = []
-    timers = []
 
     def forward(frames, hub_feature=True):
         if threading.get_ident() == caller:
             assert helper_started.wait(10)
-            # Let the helper finish its batch well after this raise.
-            timers.append(threading.Timer(0.3, release.set))
-            timers[0].start()
+            timer.start()
             raise DataError("caller batch failed")
         helper_batches.append(len(frames))
         helper_started.set()
-        assert release.wait(10)
+        release.wait(10)
         return Tensor(np.zeros((len(frames), 16))), None
 
     monkeypatch.setattr(model, "forward", forward)
     before = threading.active_count()
     with pytest.raises(DataError, match="caller batch failed"):
         extract_features(model, dataset, picks)
-    timers[0].join(10)
-    assert not timers[0].is_alive()
+    timer.join(10)
+    assert not timer.is_alive()
     assert threading.active_count() == before
     assert helper_batches == [EXTRACT_BATCH]
 
