@@ -158,10 +158,11 @@ class Reader:
         """The named record, read by offset into an array the caller owns.
 
         Records are read into owned arrays, not viewed through a memory
-        map: with a dataset's frames mapped, nothing long-lived sat on the
-        heap, glibc trimmed it after every desk training step, and the
-        next step faulted about 13 MB back in (65,000 minor faults per 20
-        steps against 6, and 20% slower steps)."""
+        map: with a dataset's frames mapped, a 20-step desk training job
+        took 65,000 minor faults and ran 20% slower. Read per batch into
+        owned arrays, and dropped with the batch, the same job takes
+        7,900-16,300 (10,100-23,800 when every frame record read stayed
+        in memory), measured with ``getrusage`` around each job."""
         dt, shape, offset = self.records[name]
         try:
             arr = np.empty(shape, dt)

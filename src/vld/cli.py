@@ -69,8 +69,7 @@ def cmd_eval(args) -> int:
         heads = TrainingHeads(cfg, dataset.num_train_identities,
                               rng.split("init"))
         load_into(model, heads, args.checkpoint)
-        reports, vis_index, ir_index = evaluate_model(cfg, model, dataset,
-                                                      args.direction)
+        reports, vis_index, ir_index = evaluate_model(cfg, model, dataset)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     checkpoint.save(out / "features.vldt", {
@@ -127,8 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="run config file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="dataset root (default: data.root)")
-    p.add_argument("--direction", default="both",
-                   choices=("ir2vis", "vis2ir", "both"))
     p.add_argument("--out", help="report directory (default: cwd)")
     p.add_argument("--seed", type=int, help="override train.seed")
     p.set_defaults(func=cmd_eval)

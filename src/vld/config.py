@@ -60,7 +60,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "train.batch_tracklets": ("int", 2),
     "train.seed": ("int", 1),
     "train.precision": ("str", "single"),
-    "train.eval_direction": ("str", "both"),
     "eval.use_hub_feature": ("bool", False),
 }
 
@@ -158,11 +157,6 @@ class RunConfig:
         if v["train.precision"] not in ("double", "single"):
             raise ConfigError(f"train.precision must be double or single, "
                               f"got {v['train.precision']!r}")
-        if v["train.eval_direction"] not in ("ir2vis", "vis2ir", "both"):
-            raise ConfigError(
-                f"train.eval_direction must be ir2vis, vis2ir, or both, "
-                f"got {v['train.eval_direction']!r}"
-            )
         return self
 
 

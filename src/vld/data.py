@@ -88,12 +88,11 @@ class Tracklet:
 
 @dataclass
 class Dataset:
+    """Tracklets, split and the open container their frames are read
+    from; no frames are kept, so frame memory is what callers hold."""
     reader: checkpoint.Reader     # the dataset's open ``frames.vldt``
     tracklets: list[Tracklet]
     num_train_identities: int
-
-    def __post_init__(self):
-        self._raw: dict[int, np.ndarray] = {}
 
     @property
     def train(self) -> list[Tracklet]:
@@ -104,13 +103,8 @@ class Dataset:
         return [t for t in self.tracklets if t.identity >= self.num_train_identities]
 
     def load_frames(self, tracklet: Tracklet) -> np.ndarray:
-        """The tracklet's stored uint8 frames [T, H, W, 3].
-
-        They are read once per tracklet and cached read-only, so every read
-        returns the same array and no caller can change the cache."""
-        raw = self._raw.get(tracklet.tracklet_id)
-        if raw is not None:
-            return raw
+        """The tracklet's stored uint8 frames [T, H, W, 3], read from the
+        container on every call into a fresh array the caller owns."""
         entry = self.reader.records.get(tracklet.record)
         if entry is None:
             raise DataError(f"{self.reader.path}: no record {tracklet.record} "
@@ -122,26 +116,32 @@ class Dataset:
                 f"{self.reader.path}: tracklet {tracklet.tracklet_id} holds "
                 f"{dt} frames of shape {shape}, expected uint8 of shape "
                 f"({tracklet.frame_count}, H, W, 3)")
-        raw = self._raw[tracklet.tracklet_id] = self.reader.read(tracklet.record)
-        raw.flags.writeable = False
-        return raw
+        return self.reader.read(tracklet.record)
 
 
 # -- identity signal ----------------------------------------------------------
 
 
 def _identity_latent(identity: int, spec: SyntheticSpec, rng: Rng):
-    """Per-identity pattern, channel color, stripe frequency and speed."""
+    """Per-identity pattern, channel color, stripe frequency and speed.
+
+    The pattern sums nine terms amp * cos(pi u y + phase) * cos(pi v x),
+    (u, v) in row-major order over 3 x 3; one ``raw`` call draws each
+    term's normal amplitude (two words) and uniform phase (one word), in
+    the order a term-by-term loop consumes them."""
     id_rng = rng.split(f"identity{identity}")
     h, w = spec.image_h, spec.image_w
     yy = np.linspace(0.0, 1.0, h)[:, None]
     xx = np.linspace(0.0, 1.0, w)[None, :]
+    words = id_rng.raw(27).reshape(9, 3)
+    amps = box_muller(words[:, :2], 1)[:, :, None]
+    phases = 2.0 * np.pi * unit_interval(words[:, 2:])[:, :, None]
+    u, v = np.divmod(np.arange(9), 3)
+    terms = (amps * np.cos(np.pi * u[:, None, None] * yy + phases)
+             * np.cos(np.pi * v[:, None, None] * xx))
     pattern = np.zeros((h, w))
-    for u in range(3):
-        for v in range(3):
-            amp = id_rng.normal()
-            phase = id_rng.uniform(high=2.0 * np.pi)
-            pattern += amp * np.cos(np.pi * u * yy + phase) * np.cos(np.pi * v * xx)
+    for term in terms:   # added one by one, in the loop's rounding order
+        pattern += term
     pattern /= max(1e-9, np.abs(pattern).max())
     # Hue varies per identity, mean brightness does not: the infrared
     # projection must not leak identity through a scalar brightness cue.
@@ -258,7 +258,7 @@ def _int64_record(reader: checkpoint.Reader, name: str,
 
 def load_dataset(root) -> Dataset:
     """The dataset ``generate`` wrote under ``root``: the manifest and split
-    are read now and each tracklet's frames on first use, all from one
+    are read now and each tracklet's frames on every use, all from one
     open ``frames.vldt``."""
     reader = checkpoint.Reader(Path(root) / FRAMES_FILE)
     manifest = _int64_record(reader, "manifest", ("n", 5))

@@ -136,9 +136,8 @@ def compute_losses(cfg: RunConfig, model: VideoModel, heads: TrainingHeads,
     return parts
 
 
-def evaluate_model(cfg: RunConfig, model: VideoModel, dataset: Dataset,
-                   direction: str):
-    """RetrievalReport(s) on the test split for one or both directions.
+def evaluate_model(cfg: RunConfig, model: VideoModel, dataset: Dataset):
+    """RetrievalReports on the test split, ranked both ways.
 
     Returns ``(reports, vis_index, ir_index)``: the reports keyed by
     direction, then the visible and infrared feature indexes they rank.
@@ -149,11 +148,10 @@ def evaluate_model(cfg: RunConfig, model: VideoModel, dataset: Dataset,
     use_hub = cfg["eval.use_hub_feature"]
     vis_index = extract_features(model, dataset, vis, use_hub_feature=use_hub)
     ir_index = extract_features(model, dataset, ir, use_hub_feature=use_hub)
-    reports = {}
-    if direction in ("ir2vis", "both"):
-        reports["ir2vis"] = evaluate(ir_index, vis_index, direction="ir2vis")
-    if direction in ("vis2ir", "both"):
-        reports["vis2ir"] = evaluate(vis_index, ir_index, direction="vis2ir")
+    reports = {
+        "ir2vis": evaluate(ir_index, vis_index, direction="ir2vis"),
+        "vis2ir": evaluate(vis_index, ir_index, direction="vis2ir"),
+    }
     return reports, vis_index, ir_index
 
 
@@ -206,7 +204,6 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
     steps_per_epoch = cfg["train.epoch_passes"] * max(
         1, len(train_tracklets) // plan.batch_size)
     total_steps = cfg["train.epochs"] * steps_per_epoch
-    direction = cfg["train.eval_direction"]
 
     metrics_path = out / "metrics.log"
     lines: list[str] = []
@@ -248,7 +245,7 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
                 step += 1
             epoch_losses.append(epoch_total / steps_per_epoch)
 
-            reports, _, _ = evaluate_model(cfg, model, dataset, direction)
+            reports, _, _ = evaluate_model(cfg, model, dataset)
             epoch_map = float(np.mean([r.mean_ap for r in reports.values()]))
             for name, report in reports.items():
                 emit(f"eval epoch={epoch} direction={name} "
@@ -263,7 +260,7 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
         checkpoint.save(out / "final.vldt", checkpoint_records(model, heads))
         # The last epoch's evaluation already ranks the final model.
         if reports is None:
-            reports, _, _ = evaluate_model(cfg, model, dataset, direction)
+            reports, _, _ = evaluate_model(cfg, model, dataset)
         for name, report in reports.items():
             save_report(report, out / f"report_{name}.json",
                         out / f"cmc_{name}.csv")

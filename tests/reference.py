@@ -13,15 +13,16 @@ is the retrieval oracle ``vld.retrieval.evaluate`` must equal exactly.
 
 The sequential definitions at the end are the ones the vectorised
 ``vld.rng`` and ``vld.data`` code replaced: one ``Rng`` call per swap,
-per hashed byte and per frame, and augmentation applied frame by frame
-to decoded float frames. Their outputs must be equal bit for bit.
+per hashed byte, per pattern term and per frame, and augmentation
+applied frame by frame to decoded float frames. Their outputs must be
+equal bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from vld.data import VISIBLE
+from vld.data import _GOLDEN, VISIBLE
 from vld.tensor import (_GELU_C, _GELU_K, _LN_EPS, _make, as_tensor, linear,
                         matmul, reshape, swap_axes)
 
@@ -251,6 +252,27 @@ def permutation(rng, n: int) -> np.ndarray:
         j = rng.randint(i + 1)
         order[i], order[j] = order[j], order[i]
     return order
+
+
+def identity_latent(identity, spec, rng):
+    """Per-identity pattern, channel color, stripe frequency and speed,
+    two scalar draws per pattern term."""
+    id_rng = rng.split(f"identity{identity}")
+    h, w = spec.image_h, spec.image_w
+    yy = np.linspace(0.0, 1.0, h)[:, None]
+    xx = np.linspace(0.0, 1.0, w)[None, :]
+    pattern = np.zeros((h, w))
+    for u in range(3):
+        for v in range(3):
+            amp = id_rng.normal()
+            phase = id_rng.uniform(high=2.0 * np.pi)
+            pattern += amp * np.cos(np.pi * u * yy + phase) * np.cos(np.pi * v * xx)
+    pattern /= max(1e-9, np.abs(pattern).max())
+    color = id_rng.uniform((3,), low=0.4, high=1.0)
+    color *= 0.7 / color.mean()
+    stripe_freq = 1 + identity % 2
+    speed = 2.0 * np.pi * (0.08 + 0.84 * ((identity * _GOLDEN) % 1.0))
+    return pattern, color, stripe_freq, speed
 
 
 def render_tracklet(identity, modality, spec, latents, tr_rng):

@@ -49,7 +49,7 @@ def test_gen_data_and_train_and_eval(tiny_cfg, tmp_path, capsys):
     eval_out = tmp_path / "eval"
     assert main(["eval", "--config", str(tiny_cfg),
                  "--checkpoint", str(out / "final.vldt"),
-                 "--direction", "both", "--out", str(eval_out)]) == 0
+                 "--out", str(eval_out)]) == 0
     for direction in ("ir2vis", "vis2ir"):
         assert (eval_out / f"report_{direction}.json").exists()
         assert (eval_out / f"cmc_{direction}.csv").exists()
@@ -68,11 +68,10 @@ def test_eval_same_checkpoint_twice_identical(tiny_cfg, tmp_path):
     for target in (a, b):
         main(["eval", "--config", str(tiny_cfg),
               "--checkpoint", str(out / "final.vldt"),
-              "--direction", "ir2vis", "--out", str(target)])
-    assert (a / "report_ir2vis.json").read_bytes() == \
-        (b / "report_ir2vis.json").read_bytes()
-    assert (a / "cmc_ir2vis.csv").read_bytes() == \
-        (b / "cmc_ir2vis.csv").read_bytes()
+              "--out", str(target)])
+    for direction in ("ir2vis", "vis2ir"):
+        for name in (f"report_{direction}.json", f"cmc_{direction}.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_eval_runs_in_the_configured_precision(tiny_cfg, tmp_path):
@@ -91,7 +90,7 @@ def test_eval_runs_in_the_configured_precision(tiny_cfg, tmp_path):
     assert main(["train", "--config", str(tiny_cfg), "--out", str(run)]) == 0
     assert main(["eval", "--config", str(tiny_cfg),
                  "--checkpoint", str(run / "final.vldt"),
-                 "--direction", "both", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
 
     cfg = load_config(tiny_cfg)
     dataset = load_dataset(cfg["data.root"])
@@ -101,7 +100,7 @@ def test_eval_runs_in_the_configured_precision(tiny_cfg, tmp_path):
         heads = TrainingHeads(cfg, dataset.num_train_identities,
                               rng.split("init"))
         load_into(model, heads, run / "final.vldt")
-        _, vis_index, ir_index = evaluate_model(cfg, model, dataset, "both")
+        _, vis_index, ir_index = evaluate_model(cfg, model, dataset)
     assert model.encoder.patch_w.data.dtype == np.float32
     feats = checkpoint.load(out / "features.vldt")
     for index in (vis_index, ir_index):

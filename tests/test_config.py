@@ -36,6 +36,13 @@ def test_unknown_key_rejected_with_line():
         parse_config("encoder.dim = 32\nencoder.width = 9\n")
 
 
+def test_eval_direction_is_an_unknown_key():
+    """Evaluation always ranks both ways; the old key is rejected like
+    any unknown one."""
+    with pytest.raises(ConfigError, match="unknown config key"):
+        parse_config("train.eval_direction = both\n")
+
+
 def test_bad_value_type_rejected():
     with pytest.raises(ConfigError, match="encoder.dim"):
         parse_config("encoder.dim = wide\n")
@@ -56,11 +63,6 @@ def test_insertion_layer_validated_against_depth():
 def test_patch_divisibility_validated():
     with pytest.raises(ConfigError):
         parse_config("data.image_h = 30\n")
-
-
-def test_direction_validated():
-    with pytest.raises(ConfigError, match="eval_direction"):
-        parse_config("train.eval_direction = sideways\n")
 
 
 def test_write_and_reload_round_trip(tmp_path):

@@ -3,6 +3,7 @@ and the identity-balanced cross-modality sampler."""
 
 import hashlib
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,39 @@ def test_renderer_equals_frame_by_frame_reference(spec, seed):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
                 assert fast.raw(1).tolist() == slow.raw(1).tolist()
+
+
+class RecordingRng:
+    """An ``Rng`` whose ``split`` keeps every child stream it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.children = rng, []
+
+    def split(self, tag):
+        self.children.append(self.rng.split(tag))
+        return self.children[-1]
+
+
+@pytest.mark.parametrize("spec", [
+    SMALL,
+    SyntheticSpec(),
+    SyntheticSpec(num_train_identities=2, num_test_identities=1, image_h=7,
+                  image_w=5),
+    SyntheticSpec(num_train_identities=1, num_test_identities=1, image_h=1,
+                  image_w=1),
+])
+@pytest.mark.parametrize("seed", [1, 2, 9])
+def test_identity_latent_equals_term_by_term_reference(spec, seed):
+    rng = Rng(seed).split("data-synth")
+    for identity in range(spec.num_identities):
+        fast, slow = RecordingRng(rng), RecordingRng(rng)
+        got = data._identity_latent(identity, spec, fast)
+        want = reference.identity_latent(identity, spec, slow)
+        for a, b in zip(got[:2], want[:2]):   # pattern, color
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got[2:] == want[2:]            # stripe frequency, speed
+        assert [c.raw(1).tolist() for c in fast.children] == \
+            [c.raw(1).tolist() for c in slow.children]
 
 
 def test_tracklet_counting():
@@ -369,17 +403,38 @@ def test_single_precision_frames_equal_rounded_double_frames(tmp_path):
     assert again.dtype == np.float64
 
 
-def test_load_frames_returns_the_cached_frames_read_only(small_dataset):
-    """Stored uint8 frames, read-only, so no caller can write into the
-    cache; a second read returns the same values."""
-    tracklet = small_dataset.tracklets[0]
-    first = small_dataset.load_frames(tracklet)
-    original = first.copy()
-    assert first.dtype == np.uint8 and not first.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        first[...] = 0
-    np.testing.assert_array_equal(small_dataset.load_frames(tracklet),
-                                  original)
+def test_load_frames_returns_a_fresh_writable_array(small_dataset):
+    """Each read is the stored uint8 record in a new array the caller
+    owns: writing into one read leaves the next intact."""
+    stored = checkpoint.load(small_dataset.reader.path)
+    for tracklet in small_dataset.tracklets[:3]:
+        first = small_dataset.load_frames(tracklet)
+        assert first.dtype == np.uint8 and first.flags.writeable
+        np.testing.assert_array_equal(first, stored[tracklet.record])
+        first ^= 0xFF
+        second = small_dataset.load_frames(tracklet)
+        np.testing.assert_array_equal(second, stored[tracklet.record])
+        assert not np.shares_memory(first, second)
+
+
+def test_reading_every_tracklet_twice_keeps_no_frames(tmp_path):
+    """Frame memory is what the caller holds: after two passes over the
+    dataset only the last read's frames are alive."""
+    spec = SyntheticSpec(num_train_identities=4, num_test_identities=2,
+                         tracklets_per_identity=2, frames=4)
+    generate(spec, seed=1, root=tmp_path)
+    ds = data.load_dataset(tmp_path)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(2):
+            for tracklet in ds.tracklets:
+                frames = ds.load_frames(tracklet)
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(ds.tracklets) * frames.nbytes > 100_000
+    assert grown <= frames.nbytes + 16 * 1024
 
 
 def test_tracklet_file_without_frames_record_is_data_error(tmp_path):
