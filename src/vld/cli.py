@@ -2,7 +2,9 @@
 
 Subcommands: gen-data, train, eval, profile. Exit codes: 0 success,
 2 configuration errors, 3 data errors, 4 numeric divergence, 5 parse
-errors, 1 anything else. ``--seed`` overrides the configured seed.
+errors, 1 anything else. ``gen-data --seed`` and ``train --seed``
+override the configured seed; ``eval`` has no seed to override, since the
+checkpoint sets every parameter.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (ConfigError, DataError, DivergenceError, ParseError,
                      VldError)
 from .profiler import cost_report, format_report, report_json
 from .retrieval import save_report
-from .rng import Rng
 
 EXIT_CODES = {ConfigError: 2, DataError: 3, DivergenceError: 4, ParseError: 5}
 
@@ -59,17 +60,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .train import (TrainingHeads, build_model, configured_precision,
-                        evaluate_model, load_into)
+    from .train import (build_state, configured_precision, evaluate_model,
+                        load_into)
     cfg = _load(args)
     dataset = load_dataset(args.data or cfg["data.root"])
     with configured_precision(cfg):
-        rng = Rng(cfg["train.seed"])
-        model = build_model(cfg, rng.split("init"))
-        heads = TrainingHeads(cfg, dataset.num_train_identities,
-                              rng.split("init"))
-        load_into(model, heads, args.checkpoint)
-        reports, vis_index, ir_index = evaluate_model(cfg, model, dataset)
+        state = build_state(cfg, dataset.num_train_identities)
+        load_into(state, args.checkpoint)
+        reports, vis_index, ir_index = evaluate_model(cfg, state.model,
+                                                      dataset)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     checkpoint.save(out / "features.vldt", {
@@ -127,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="dataset root (default: data.root)")
     p.add_argument("--out", help="report directory (default: cwd)")
-    p.add_argument("--seed", type=int, help="override train.seed")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("profile", help="analytic parameter/FLOP report")

@@ -34,14 +34,17 @@ class Adam:
         self.eps = eps
         self.step_count = 0
         self._entries = []
+        # np.zeros takes calloc'd memory: large moments stay untouched zero
+        # pages until the first step, so an optimizer that never steps
+        # (``vld eval`` builds one) holds no resident memory for them.
         for group_name, (params, mult) in groups.items():
             for name, param in params:
                 self._entries.append({
                     "name": f"{group_name}/{name}" if group_name else name,
                     "param": param,
                     "mult": float(mult),
-                    "m": np.zeros_like(param.data),
-                    "v": np.zeros_like(param.data),
+                    "m": np.zeros(param.data.shape, param.data.dtype),
+                    "v": np.zeros(param.data.shape, param.data.dtype),
                 })
 
     def zero_grad(self) -> None:

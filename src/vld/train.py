@@ -2,6 +2,15 @@
 encoder, the five-part objective, Adam with cosine decay, per-epoch
 retrieval evaluation, and checkpointing.
 
+Every run is built one way and stepped one way. ``build_state`` draws the
+model, the loss-side heads, the optimizer and the sampler stream from
+``train.seed`` into a ``TrainState``; ``train_step`` samples a batch,
+forms the weighted objective with ``compute_losses`` and takes one Adam
+update over the encoder and the prompt learner together (IMLP's joint
+fine-tuning). ``train`` is a loop over epochs around that step, with
+evaluation and checkpoints; ``vld eval`` builds the same state and loads a
+checkpoint into it.
+
 Metrics lines carry logical timestamps (step and epoch counters) rather
 than wall-clock time so identical seeds reproduce identical logs.
 """
@@ -9,6 +18,7 @@ than wall-clock time so identical seeds reproduce identical logs.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,18 +102,38 @@ def build_optimizer(cfg: RunConfig, model: VideoModel,
                 eps=cfg["optim.eps"])
 
 
-def all_parameters(model: VideoModel, heads: TrainingHeads):
-    yield from model.named_parameters()
-    yield from heads.named_parameters()
+@dataclass
+class TrainState:
+    """What a training step updates: the model, the loss-side heads, the
+    optimizer over both, and the stream the batches are sampled from."""
+
+    model: VideoModel
+    heads: TrainingHeads
+    optimizer: Adam
+    sampler: Rng
 
 
-def checkpoint_records(model: VideoModel, heads: TrainingHeads) -> dict:
-    return {name: p.data for name, p in all_parameters(model, heads)}
+def build_state(cfg: RunConfig, num_train_identities: int) -> TrainState:
+    """The run's initial state, drawn from ``train.seed``."""
+    rng = Rng(cfg["train.seed"])
+    model = build_model(cfg, rng.split("init"))
+    heads = TrainingHeads(cfg, num_train_identities, rng.split("init"))
+    return TrainState(model, heads, build_optimizer(cfg, model, heads),
+                      rng.split("sampler"))
 
 
-def load_into(model: VideoModel, heads: TrainingHeads, path) -> None:
+def all_parameters(state: TrainState):
+    yield from state.model.named_parameters()
+    yield from state.heads.named_parameters()
+
+
+def checkpoint_records(state: TrainState) -> dict:
+    return {name: p.data for name, p in all_parameters(state)}
+
+
+def load_into(state: TrainState, path) -> None:
     records = checkpoint.load(path)
-    for name, param in all_parameters(model, heads):
+    for name, param in all_parameters(state):
         if name not in records:
             raise ConfigError(f"checkpoint missing parameter {name}")
         if records[name].shape != param.data.shape:
@@ -116,7 +146,8 @@ def load_into(model: VideoModel, heads: TrainingHeads, path) -> None:
 
 def compute_losses(cfg: RunConfig, model: VideoModel, heads: TrainingHeads,
                    frames: np.ndarray, labels: np.ndarray) -> dict:
-    """Forward one mixed-modality batch and return named loss parts."""
+    """Forward one mixed-modality batch and return the weighted ``"total"``
+    followed by the five named loss parts (None for a disabled branch)."""
     seq, hub_seq = model.forward(frames)
     parts = {
         "id_cls": identity_cross_entropy(seq, labels, heads.id_head_cls),
@@ -133,6 +164,20 @@ def compute_losses(cfg: RunConfig, model: VideoModel, heads: TrainingHeads,
         parts["id_hub"] = identity_cross_entropy(hub_seq, labels,
                                                  heads.id_head_hub)
         parts["wrt_hub"] = weighted_regularized_triplet(hub_seq, labels)
+    return {"total": total_loss(**parts, weights=cfg.loss_weights()), **parts}
+
+
+def train_step(cfg: RunConfig, state: TrainState, dataset: Dataset,
+               tracklets, lr: float) -> dict:
+    """One joint update of every trained parameter at base rate ``lr`` on a
+    batch sampled from ``tracklets``; returns ``compute_losses``' parts."""
+    batch = sample_batch(cfg.batch_plan(), dataset, tracklets, state.sampler,
+                         apply_augment=cfg["data.augment"], pad=cfg["data.pad"])
+    parts = compute_losses(cfg, state.model, state.heads, batch.frames,
+                           batch.labels)
+    state.optimizer.zero_grad()
+    parts["total"].backward()
+    state.optimizer.step(lr=lr)
     return parts
 
 
@@ -185,27 +230,18 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
     from .config import write_config
     write_config(cfg, out / "resolved.cfg")
 
-    seed = cfg["train.seed"]
     root = Path(cfg["data.root"])
     if not (root / FRAMES_FILE).exists():
-        generate(cfg.synthetic_spec(), seed, root)
+        generate(cfg.synthetic_spec(), cfg["train.seed"], root)
     dataset = load_dataset(root)
+    state = build_state(cfg, dataset.num_train_identities)
 
-    rng = Rng(seed)
-    model = build_model(cfg, rng.split("init"))
-    heads = TrainingHeads(cfg, dataset.num_train_identities, rng.split("init"))
-    optimizer = build_optimizer(cfg, model, heads)
-    sampler_rng = rng.split("sampler")
-
-    plan = cfg.batch_plan()
-    weights = cfg.loss_weights()
     train_tracklets = dataset.train
     # An epoch makes `epoch_passes` sweeps over the training tracklets.
     steps_per_epoch = cfg["train.epoch_passes"] * max(
-        1, len(train_tracklets) // plan.batch_size)
+        1, len(train_tracklets) // cfg.batch_plan().batch_size)
     total_steps = cfg["train.epochs"] * steps_per_epoch
 
-    metrics_path = out / "metrics.log"
     lines: list[str] = []
 
     def emit(line: str) -> None:
@@ -213,7 +249,11 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
         if log is not None:
             log(line)
 
-    checkpoint.save(out / "last.vldt", checkpoint_records(model, heads))
+    def write_metrics() -> None:
+        checkpoint.write_atomic(out / "metrics.log",
+                                [("\n".join(lines) + "\n").encode()])
+
+    checkpoint.save(out / "last.vldt", checkpoint_records(state))
     best_map = -1.0
     epoch_losses = []
     step = 0
@@ -222,30 +262,18 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
         for epoch in range(cfg["train.epochs"]):
             epoch_total = 0.0
             for _ in range(steps_per_epoch):
-                batch = sample_batch(plan, dataset, train_tracklets,
-                                     sampler_rng,
-                                     apply_augment=cfg["data.augment"],
-                                     pad=cfg["data.pad"])
-                parts = compute_losses(cfg, model, heads, batch.frames,
-                                       batch.labels)
-                loss = total_loss(parts["id_cls"], parts["wrt_cls"],
-                                  parts["v2t"], parts["id_hub"],
-                                  parts["wrt_hub"], weights)
                 lr = cosine_lr(step, total_steps, cfg["optim.base_lr"])
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step(lr=lr)
-                pieces = [f"step={step}", f"epoch={epoch}", f"lr={_fmt(lr)}",
-                          f"loss_total={_fmt(loss.item())}"]
+                parts = train_step(cfg, state, dataset, train_tracklets, lr)
+                pieces = [f"step={step}", f"epoch={epoch}", f"lr={_fmt(lr)}"]
                 for name, part in parts.items():
                     if part is not None:
                         pieces.append(f"loss_{name}={_fmt(part.item())}")
                 emit(" ".join(pieces))
-                epoch_total += loss.item()
+                epoch_total += parts["total"].item()
                 step += 1
             epoch_losses.append(epoch_total / steps_per_epoch)
 
-            reports, _, _ = evaluate_model(cfg, model, dataset)
+            reports, _, _ = evaluate_model(cfg, state.model, dataset)
             epoch_map = float(np.mean([r.mean_ap for r in reports.values()]))
             for name, report in reports.items():
                 emit(f"eval epoch={epoch} direction={name} "
@@ -253,21 +281,22 @@ def _run(cfg: RunConfig, out_dir, log) -> dict:
                      f"rank10={_fmt(report.rank(10))} map={_fmt(report.mean_ap)}")
             if epoch_map > best_map:
                 best_map = epoch_map
-                checkpoint.save(out / "best.vldt",
-                                checkpoint_records(model, heads))
-            checkpoint.save(out / "last.vldt", checkpoint_records(model, heads))
+                checkpoint.save(out / "best.vldt", checkpoint_records(state))
+            checkpoint.save(out / "last.vldt", checkpoint_records(state))
+            # A killed process runs no `finally`: each finished epoch's
+            # lines are on disk before the next epoch starts.
+            write_metrics()
 
-        checkpoint.save(out / "final.vldt", checkpoint_records(model, heads))
+        checkpoint.save(out / "final.vldt", checkpoint_records(state))
         # The last epoch's evaluation already ranks the final model.
         if reports is None:
-            reports, _, _ = evaluate_model(cfg, model, dataset)
+            reports, _, _ = evaluate_model(cfg, state.model, dataset)
         for name, report in reports.items():
             save_report(report, out / f"report_{name}.json",
                         out / f"cmc_{name}.csv")
     finally:
         # Whatever ends the run, its log keeps every line emitted so far.
-        checkpoint.write_atomic(metrics_path,
-                                [("\n".join(lines) + "\n").encode()])
+        write_metrics()
     return {
         "epoch_losses": epoch_losses,
         "best_map": best_map,

@@ -80,9 +80,8 @@ def test_eval_runs_in_the_configured_precision(tiny_cfg, tmp_path):
     from vld import checkpoint
     from vld.config import load_config
     from vld.data import load_dataset
-    from vld.rng import Rng
-    from vld.train import (TrainingHeads, build_model, configured_precision,
-                           evaluate_model, load_into)
+    from vld.train import (build_state, configured_precision, evaluate_model,
+                           load_into)
 
     tiny_cfg.write_text(tiny_cfg.read_text() + "train.precision = single\n")
     main(["gen-data", "--config", str(tiny_cfg)])
@@ -95,13 +94,10 @@ def test_eval_runs_in_the_configured_precision(tiny_cfg, tmp_path):
     cfg = load_config(tiny_cfg)
     dataset = load_dataset(cfg["data.root"])
     with configured_precision(cfg):
-        rng = Rng(cfg["train.seed"])
-        model = build_model(cfg, rng.split("init"))
-        heads = TrainingHeads(cfg, dataset.num_train_identities,
-                              rng.split("init"))
-        load_into(model, heads, run / "final.vldt")
-        _, vis_index, ir_index = evaluate_model(cfg, model, dataset)
-    assert model.encoder.patch_w.data.dtype == np.float32
+        state = build_state(cfg, dataset.num_train_identities)
+        load_into(state, run / "final.vldt")
+        _, vis_index, ir_index = evaluate_model(cfg, state.model, dataset)
+    assert state.model.encoder.patch_w.data.dtype == np.float32
     feats = checkpoint.load(out / "features.vldt")
     for index in (vis_index, ir_index):
         for row, tid in zip(index.features, index.tracklet_ids):
@@ -143,6 +139,10 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense.key = 1\n")
     assert main(["train", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    # eval takes no --seed: the checkpoint sets every parameter a seed draws.
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", str(tmp_path / "x.vldt"), "--seed", "3"])
+    assert exc.value.code == 2
 
 
 def test_data_error_exit_code(tiny_cfg, tmp_path):

@@ -12,11 +12,9 @@ import pytest
 from util import random_frames
 from vld.config import load_config
 from vld.errors import ContractError
-from vld.losses import total_loss
-from vld.rng import Rng
 from vld.tensor import Tensor, no_grad
-from vld.train import (TrainingHeads, all_parameters, build_model,
-                       compute_losses, configured_precision)
+from vld.train import (all_parameters, build_state, compute_losses,
+                       configured_precision)
 
 DESK_CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
 MIB = 1 << 20
@@ -26,26 +24,23 @@ MIB = 1 << 20
 def desk_step():
     """A closure building one desk batch's loss and parts, in float32."""
     cfg = load_config(DESK_CONFIG_PATH).validate()
+    cfg.values["train.seed"] = 9
     with configured_precision(cfg):
-        rng = Rng(9)
-        model = build_model(cfg, rng.split("init"))
-        heads = TrainingHeads(cfg, cfg["data.train_identities"], rng.split("init"))
+        state = build_state(cfg, cfg["data.train_identities"])
+    model, heads = state.model, state.heads
     plan = cfg.batch_plan()
     per_identity = 2 * plan.tracklets_per_identity   # both modalities
     labels = np.repeat(np.arange(plan.identities), per_identity)
     frames = random_frames(10, (len(labels), cfg["data.frames"],
                                 cfg["data.image_h"], cfg["data.image_w"], 3))
-    params = [p for _, p in all_parameters(model, heads)]
+    params = [p for _, p in all_parameters(state)]
 
     def build():
         for p in params:
             p.grad = None
         with configured_precision(cfg):
             parts = compute_losses(cfg, model, heads, frames, labels)
-            loss = total_loss(parts["id_cls"], parts["wrt_cls"], parts["v2t"],
-                              parts["id_hub"], parts["wrt_hub"],
-                              cfg.loss_weights())
-        return loss, parts
+        return parts["total"], parts
 
     build()[0].backward()   # warm any first-call caches
     return build, params, model

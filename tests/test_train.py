@@ -1,5 +1,10 @@
 """Training loop: determinism, checkpointing, divergence handling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,9 +13,8 @@ from vld import train as train_module
 from vld.config import parse_config
 from vld.data import generate
 from vld.errors import ConfigError
-from vld.rng import Rng
-from vld.train import (TrainingHeads, build_model, build_optimizer,
-                       checkpoint_records, compute_losses, load_into, train)
+from vld.train import (build_state, checkpoint_records, compute_losses,
+                       load_into, train, train_step)
 
 TINY_TEXT = """
 data.train_identities = 4
@@ -125,12 +129,11 @@ def test_different_seed_changes_outcome(tmp_path):
 def test_checkpoint_round_trip_into_fresh_model(tmp_path):
     cfg = tiny_config(tmp_path / "data")
     train(cfg, tmp_path / "run")
-    rng = Rng(99)
-    model = build_model(cfg, rng.split("init"))
-    heads = TrainingHeads(cfg, 4, rng.split("init"))
-    load_into(model, heads, tmp_path / "run" / "final.vldt")
+    other = tiny_config(tmp_path / "data", **{"train.seed": 99})
+    state = build_state(other, 4)
+    load_into(state, tmp_path / "run" / "final.vldt")
     saved = checkpoint.load(tmp_path / "run" / "final.vldt")
-    for name, value in checkpoint_records(model, heads).items():
+    for name, value in checkpoint_records(state).items():
         np.testing.assert_array_equal(value, saved[name])
 
 
@@ -138,25 +141,24 @@ def test_checkpoint_shape_mismatch_is_load_error(tmp_path):
     cfg = tiny_config(tmp_path / "data")
     train(cfg, tmp_path / "run")
     other = tiny_config(tmp_path / "data", **{"encoder.dim": 32})
-    rng = Rng(1)
-    model = build_model(other, rng.split("init"))
-    heads = TrainingHeads(other, 4, rng.split("init"))
+    state = build_state(other, 4)
     with pytest.raises(ConfigError, match="shape"):
-        load_into(model, heads, tmp_path / "run" / "final.vldt")
+        load_into(state, tmp_path / "run" / "final.vldt")
 
 
 def test_baseline_ablation_flags_drop_branches(tmp_path):
     cfg = tiny_config(tmp_path / "data", **{"stp.enabled": False,
                                             "imlp.enabled": False})
     dataset = generate(cfg.synthetic_spec(), 1, tmp_path / "data2")
-    rng = Rng(1)
-    model = build_model(cfg, rng.split("init"))
-    heads = TrainingHeads(cfg, dataset.num_train_identities, rng.split("init"))
+    state = build_state(cfg, dataset.num_train_identities)
+    model, heads = state.model, state.heads
     assert model.hub is None and heads.prompts is None
     picks = [dataset.train[i] for i in (0, 2, 4, 6)]  # ids 0,0,1,1 across modalities
     frames = np.stack([dataset.load_frames(t) for t in picks])
     labels = np.array([t.identity for t in picks])
     parts = compute_losses(cfg, model, heads, frames, labels)
+    assert list(parts) == ["total", "id_cls", "wrt_cls", "v2t", "id_hub",
+                           "wrt_hub"]
     assert parts["v2t"] is None and parts["id_hub"] is None
     assert parts["wrt_hub"] is None
     names = [name for name, _ in heads.named_parameters()]
@@ -164,11 +166,7 @@ def test_baseline_ablation_flags_drop_branches(tmp_path):
 
 
 def test_prompt_group_gets_lr_multiplier(tmp_path):
-    cfg = tiny_config(tmp_path / "data")
-    rng = Rng(1)
-    model = build_model(cfg, rng.split("init"))
-    heads = TrainingHeads(cfg, 4, rng.split("init"))
-    opt = build_optimizer(cfg, model, heads)
+    opt = build_state(tiny_config(tmp_path / "data"), 4).optimizer
     prompt_entries = [e for e in opt._entries if "imlp/prompts" in e["name"]]
     assert len(prompt_entries) == 1
     assert prompt_entries[0]["mult"] == 25.0
@@ -179,10 +177,8 @@ def test_prompt_group_gets_lr_multiplier(tmp_path):
 def test_frozen_text_encoder_stays_frozen_through_a_step(tmp_path):
     cfg = tiny_config(tmp_path / "data")
     dataset = generate(cfg.synthetic_spec(), 1, tmp_path / "data3")
-    rng = Rng(1)
-    model = build_model(cfg, rng.split("init"))
-    heads = TrainingHeads(cfg, dataset.num_train_identities, rng.split("init"))
-    opt = build_optimizer(cfg, model, heads)
+    state = build_state(cfg, dataset.num_train_identities)
+    model, heads = state.model, state.heads
     frozen_before = {
         name: p.data.copy()
         for i, block in enumerate(heads.text_encoder.blocks)
@@ -191,16 +187,7 @@ def test_frozen_text_encoder_stays_frozen_through_a_step(tmp_path):
     prompts_before = heads.prompts.tokens.data.copy()
     encoder_before = model.encoder.patch_w.data.copy()
 
-    picks = [dataset.train[i] for i in (0, 2, 4, 6)]
-    frames = np.stack([dataset.load_frames(t) for t in picks])
-    labels = np.array([t.identity for t in picks])
-    from vld.losses import total_loss
-    parts = compute_losses(cfg, model, heads, frames, labels)
-    loss = total_loss(parts["id_cls"], parts["wrt_cls"], parts["v2t"],
-                      parts["id_hub"], parts["wrt_hub"], cfg.loss_weights())
-    opt.zero_grad()
-    loss.backward()
-    opt.step(lr=cfg["optim.base_lr"])
+    train_step(cfg, state, dataset, dataset.train, cfg["optim.base_lr"])
 
     for i, block in enumerate(heads.text_encoder.blocks):
         for name, p in block.named_parameters(f"blk{i}"):
@@ -221,22 +208,20 @@ def test_single_precision_flag(tmp_path, monkeypatch, precision):
 
 
 def test_divergence_aborts_with_last_good_checkpoint(tmp_path, monkeypatch):
-    import vld.train as train_mod
     from vld.errors import DivergenceError
     from vld.tensor import Tensor
 
     cfg = tiny_config(tmp_path / "data")
-    real = train_mod.compute_losses
-    calls = {"n": 0}
+    real = train_module.identity_cross_entropy
+    heads = []   # the head of every call; each step calls id_cls first
 
-    def poisoned(cfg_, model, heads, frames, labels):
-        parts = real(cfg_, model, heads, frames, labels)
-        calls["n"] += 1
-        if calls["n"] >= 3:
-            parts["id_cls"] = Tensor(np.array(float("nan")))
-        return parts
+    def poisoned(features, labels, head):
+        heads.append(head)
+        if head is heads[0] and heads.count(head) >= 3:
+            return Tensor(np.array(float("nan")))
+        return real(features, labels, head)
 
-    monkeypatch.setattr(train_mod, "compute_losses", poisoned)
+    monkeypatch.setattr(train_module, "identity_cross_entropy", poisoned)
     with pytest.raises(DivergenceError, match="id_cls"):
         train(cfg, tmp_path / "run")
     out = tmp_path / "run"
@@ -266,6 +251,38 @@ def test_failed_run_keeps_the_metrics_log(tmp_path, monkeypatch):
     evals = [ln for ln in lines if ln.startswith("eval ")]
     assert len(evals) == 2 and all("epoch=0" in ln for ln in evals)
     assert sum(1 for ln in lines if ln.startswith("step=")) == 2 * 4
+
+
+def test_killed_run_keeps_the_finished_epochs_metrics(tmp_path):
+    """A killed process runs no ``finally``: the lines of every epoch it
+    finished are already in metrics.log."""
+    script = f"""
+import os
+from vld import train
+from vld.config import parse_config
+
+real, calls = train.evaluate_model, []
+
+def dying(*args, **kwargs):
+    calls.append(1)
+    if len(calls) == 2:
+        os._exit(9)
+    return real(*args, **kwargs)
+
+train.evaluate_model = dying
+cfg = parse_config({TINY_TEXT!r})
+cfg.values["data.root"] = {str(tmp_path / "data")!r}
+train.train(cfg.validate(), {str(tmp_path / "run")!r})
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 9, proc.stderr
+    lines = (tmp_path / "run" / "metrics.log").read_text().splitlines()
+    assert [ln.split()[0] for ln in lines] == ["step=0", "step=1", "step=2",
+                                               "step=3", "eval", "eval"]
+    assert all("epoch=0" in ln for ln in lines)
+    assert not (tmp_path / "run" / "final.vldt").exists()
 
 
 def test_cli_maps_divergence_to_exit_4(tmp_path, monkeypatch):

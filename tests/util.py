@@ -3,9 +3,8 @@
 import numpy as np
 
 from vld.config import parse_config
-from vld.losses import total_loss
 from vld.rng import Rng
-from vld.train import TrainingHeads, build_model, compute_losses
+from vld.train import build_state, compute_losses
 
 # Smallest config that exercises every mechanism: hub active in both layers,
 # prompts with prefix+suffix template, two identities in both modalities.
@@ -35,17 +34,14 @@ def tiny_e2e_problem(seed: int = 1):
     """(named params, loss closure) for a full five-part objective on a
     2-identity micro-batch."""
     cfg = parse_config(E2E_TEXT)
-    rng = Rng(seed)
-    model = build_model(cfg, rng.split("init"))
-    heads = TrainingHeads(cfg, 2, rng.split("init"))
+    cfg.values["train.seed"] = seed
+    state = build_state(cfg, 2)
+    model, heads = state.model, state.heads
     frames = random_frames(seed + 100, (4, 2, 4, 4, 3))
     labels = np.array([0, 0, 1, 1])
-    weights = cfg.loss_weights()
 
     def build_loss():
-        parts = compute_losses(cfg, model, heads, frames, labels)
-        return total_loss(parts["id_cls"], parts["wrt_cls"], parts["v2t"],
-                          parts["id_hub"], parts["wrt_hub"], weights)
+        return compute_losses(cfg, model, heads, frames, labels)["total"]
 
     params = list(model.named_parameters()) + list(heads.named_parameters())
     return params, build_loss
