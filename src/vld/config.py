@@ -28,8 +28,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "data.frames": ("int", 4),
     "data.image_h": ("int", 32),
     "data.image_w": ("int", 16),
-    "data.noise_visible": ("float", 0.03),
-    "data.noise_infrared": ("float", 0.05),
     "data.pattern_amp": ("float", 0.2),
     "data.stripe_amp": ("float", 0.2),
     "data.occlusion": ("float", 0.25),
@@ -39,21 +37,16 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "encoder.dim": ("int", 64),
     "encoder.depth": ("int", 4),
     "encoder.heads": ("int", 4),
-    "encoder.mlp_ratio": ("int", 4),
     "stp.enabled": ("bool", True),
     "stp.insertion_layer": ("int", 1),
     "imlp.enabled": ("bool", True),
     "imlp.tokens": ("int", 4),
     "imlp.template": ("int", 4),
-    "imlp.text_seed": ("int", 101),
     "loss.lambda_v2t": ("float", 0.08),
     "loss.lambda_id_hub": ("float", 0.4),
     "loss.lambda_wrt_hub": ("float", 1.0),
     "optim.base_lr": ("float", 0.002),
     "optim.prompt_lr_multiplier": ("float", 25.0),
-    "optim.beta1": ("float", 0.9),
-    "optim.beta2": ("float", 0.999),
-    "optim.eps": ("float", 1e-8),
     "train.epochs": ("int", 8),
     "train.epoch_passes": ("int", 3),
     "train.batch_identities": ("int", 4),
@@ -69,8 +62,8 @@ _MINIMUMS: dict[str, int] = {
         "data.train_identities", "data.test_identities",
         "data.tracklets_per_identity", "data.frames", "data.image_h",
         "data.image_w", "encoder.patch", "encoder.dim", "encoder.depth",
-        "encoder.heads", "encoder.mlp_ratio", "train.epoch_passes",
-        "train.batch_identities", "train.batch_tracklets", "imlp.tokens"), 1),
+        "encoder.heads", "train.epoch_passes", "train.batch_identities",
+        "train.batch_tracklets", "imlp.tokens"), 1),
     "train.epochs": 0,
     "data.pad": 0,
 }
@@ -114,7 +107,6 @@ class RunConfig:
             image_h=v["data.image_h"], image_w=v["data.image_w"],
             patch=v["encoder.patch"], depth=v["encoder.depth"],
             dim=v["encoder.dim"], heads=v["encoder.heads"],
-            mlp_ratio=v["encoder.mlp_ratio"],
         )
 
     def synthetic_spec(self) -> SyntheticSpec:
@@ -124,9 +116,7 @@ class RunConfig:
             num_test_identities=v["data.test_identities"],
             tracklets_per_identity=v["data.tracklets_per_identity"],
             frames=v["data.frames"], image_h=v["data.image_h"],
-            image_w=v["data.image_w"], noise_visible=v["data.noise_visible"],
-            noise_infrared=v["data.noise_infrared"],
-            pattern_amp=v["data.pattern_amp"],
+            image_w=v["data.image_w"], pattern_amp=v["data.pattern_amp"],
             stripe_amp=v["data.stripe_amp"],
             occlusion=v["data.occlusion"],
         )

@@ -7,7 +7,8 @@ phase is random per tracklet, so a single frame reveals the stripe but not
 its speed. Cross-frame interaction is therefore genuinely informative in a
 way per-frame pooling cannot recover. Visible tracklets mix the pattern
 into three channels through an identity color; infrared collapses the same
-field to one band with an offset and its own noise level.
+field to one band with an offset and more pixel noise (standard deviation
+``NOISE_INFRARED``, 0.05, against ``NOISE_VISIBLE``, 0.03).
 
 On disk, a dataset root holds one file, ``frames.vldt``, a container in
 the package format (``vld.checkpoint``) with these records in order:
@@ -48,6 +49,8 @@ FRAMES_FILE = "frames.vldt"
 _VIS_CAMERAS = (0, 1)
 _IR_CAMERAS = (2, 3)
 _GOLDEN = 0.618033988749895
+NOISE_VISIBLE = 0.03
+NOISE_INFRARED = 0.05
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,6 @@ class SyntheticSpec:
     frames: int = 4
     image_h: int = 32
     image_w: int = 16
-    noise_visible: float = 0.03
-    noise_infrared: float = 0.05
     pattern_amp: float = 0.2
     stripe_amp: float = 0.2
     # The identity pattern shows clean in one random frame per tracklet;
@@ -197,11 +198,11 @@ def _render_tracklet(identity: int, modality: str, spec: SyntheticSpec,
         stripe, (frames, h, w))
     if modality == VISIBLE:
         img = field[..., None] * color
-        img = img + (0.0 + spec.noise_visible * extra_noise * noise).reshape(
+        img = img + (0.0 + NOISE_VISIBLE * extra_noise * noise).reshape(
             frames, h, w, 3)
     else:
         lum = field * color.mean() * 0.85 + 0.12
-        img = lum[..., None] + (0.0 + spec.noise_infrared * extra_noise
+        img = lum[..., None] + (0.0 + NOISE_INFRARED * extra_noise
                                 * noise).reshape(frames, h, w, 1)
         img = np.broadcast_to(img, (frames, h, w, 3))
     return np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)

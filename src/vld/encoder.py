@@ -22,6 +22,9 @@ from .rng import Rng
 from .tensor import (Tensor, as_tensor, broadcast_to, concat, layer_norm,
                      linear, mlp, reshape, sorted_mean, transpose)
 
+CHANNELS = 3       # frames are stored and encoded as 3 channels
+MLP_RATIO = 4      # every block's MLP is MLP_RATIO * dim wide
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -31,8 +34,6 @@ class EncoderConfig:
     depth: int
     dim: int
     heads: int
-    channels: int = 3
-    mlp_ratio: int = 4
 
     def __post_init__(self):
         if self.image_h % self.patch or self.image_w % self.patch:
@@ -52,7 +53,7 @@ class EncoderConfig:
 
     @property
     def patch_dim(self) -> int:
-        return self.channels * self.patch * self.patch
+        return CHANNELS * self.patch * self.patch
 
 
 def count_layer_tokens(cfg: EncoderConfig, hub_active: bool, frames: int) -> int:
@@ -69,9 +70,8 @@ def take_rows(x: Tensor, rows) -> Tensor:
 class TransformerBlock:
     """Pre-norm block: x + MHA(LN(x)), then x + MLP(LN(x))."""
 
-    def __init__(self, dim: int, heads: int, mlp_ratio: int, rng: Rng,
-                 trainable: bool = True):
-        hidden = dim * mlp_ratio
+    def __init__(self, dim: int, heads: int, rng: Rng, trainable: bool = True):
+        hidden = dim * MLP_RATIO
 
         def param(data):
             return Tensor(data, requires_grad=trainable)
@@ -137,7 +137,7 @@ class VisionEncoder:
         self.pos = Tensor(rng.normal((cfg.tokens_per_frame, d), std=0.3),
                           requires_grad=True)
         self.blocks = [
-            TransformerBlock(d, cfg.heads, cfg.mlp_ratio, rng.split(f"block{i}"))
+            TransformerBlock(d, cfg.heads, rng.split(f"block{i}"))
             for i in range(cfg.depth)
         ]
         self.ln_f_g = Tensor(np.ones(d), requires_grad=True)
@@ -147,10 +147,10 @@ class VisionEncoder:
 
     def _check_extents(self, shape):
         cfg = self.cfg
-        if shape[-3:] != (cfg.image_h, cfg.image_w, cfg.channels):
+        if shape[-3:] != (cfg.image_h, cfg.image_w, CHANNELS):
             raise ConfigError(
                 f"frame extents {shape[-3:]} do not match configured "
-                f"{(cfg.image_h, cfg.image_w, cfg.channels)}"
+                f"{(cfg.image_h, cfg.image_w, CHANNELS)}"
             )
 
     def patch_tokens(self, frames: Tensor) -> Tensor:
@@ -159,7 +159,7 @@ class VisionEncoder:
         b, t = frames.shape[0], frames.shape[1]
         p = cfg.patch
         hp, wp = cfg.image_h // p, cfg.image_w // p
-        x = reshape(frames, (b, t, hp, p, wp, p, cfg.channels))
+        x = reshape(frames, (b, t, hp, p, wp, p, CHANNELS))
         x = transpose(x, (0, 1, 2, 4, 3, 5, 6))
         return reshape(x, (b, t, cfg.num_patches, cfg.patch_dim))
 

@@ -1,4 +1,5 @@
-"""Adam optimizer with named parameter groups and cosine decay."""
+"""Adam optimizer with named parameter groups and cosine decay; its betas
+and epsilon are the published defaults (Kingma & Ba, ICLR 2015)."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .tensor import Tensor
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
@@ -29,9 +32,7 @@ class Adam:
     configuration.
     """
 
-    def __init__(self, groups: dict, betas=(0.9, 0.999), eps: float = 1e-8):
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+    def __init__(self, groups: dict):
         self.step_count = 0
         self._entries = []
         # np.zeros takes calloc'd memory: large moments stay untouched zero
@@ -56,21 +57,21 @@ class Adam:
         parameter is an error."""
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - self.beta1**t
-        bias2 = 1.0 - self.beta2**t
+        bias1 = 1.0 - BETA1**t
+        bias2 = 1.0 - BETA2**t
         for entry in self._entries:
             param: Tensor = entry["param"]
             if param.grad is None:
                 raise ContractError(f"parameter {entry['name']} has no gradient")
             g = param.grad
             m, v = entry["m"], entry["v"]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             # asarray: ufuncs may hand back scalars for 0-d parameters.
             step_arr = np.asarray(np.sqrt(v / bias2))
-            step_arr += self.eps
+            step_arr += EPS
             np.divide(m, step_arr, out=step_arr)
             step_arr *= lr * entry["mult"] / bias1
             param.data -= step_arr

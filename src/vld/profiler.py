@@ -43,7 +43,7 @@ class CostReport:
 
 
 def block_params(dim: int) -> int:
-    """One transformer block: MHA 4D^2+4D, MLP 8D^2+5D, two LNs 4D."""
+    """One transformer block: MHA 4D^2+4D, 4x-wide MLP 8D^2+5D, two LNs 4D."""
     return (4 * dim * dim + 4 * dim) + (8 * dim * dim + 5 * dim) + 4 * dim
 
 

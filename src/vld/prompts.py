@@ -4,9 +4,10 @@ classifier prototypes.
 Each identity owns M learnable token slots spliced into a fixed template;
 the template's surrounding token embeddings are deterministic draws keyed
 by (template id, position) and are shared, frozen storage. The text
-encoder itself is a seed-fixed 2-layer transformer: none of its weights
-ever enter an optimizer, so prototypes stay a pure function of the prompt
-tokens while its shared weights couple all identities.
+encoder itself is a 2-layer transformer fixed by its seed (``TEXT_SEED``
+in training): none of its weights ever enter an optimizer, so prototypes
+stay a pure function of the prompt tokens while its shared weights couple
+all identities.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .encoder import TransformerBlock
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .losses import cross_entropy_from_logits
 from .rng import Rng
 from .tensor import (Tensor, broadcast_to, clamp_max, concat, layer_norm,
@@ -25,6 +26,7 @@ TEMPLATES = {1: (0, 2), 2: (1, 2), 3: (1, 8), 4: (1, 9)}
 
 LOGIT_SCALE_INIT = 1.0 / 0.07
 LOGIT_SCALE_MAX = 100.0
+TEXT_SEED = 101    # the seed training draws the frozen text encoder from
 
 
 class PromptBank:
@@ -82,23 +84,22 @@ class FrozenTextEncoder:
     DEPTH = 2
     HEADS = 4
 
-    def __init__(self, dim: int, out_dim: int, seq_len: int, seed: int):
+    def __init__(self, dim: int, seq_len: int, seed: int):
         rng = Rng(seed).split("text-encoder")
         self.dim = dim
-        self.out_dim = out_dim
         self.seq_len = seq_len
         self.pos = Tensor(rng.normal((seq_len, dim), std=0.02))
         self.blocks = [
-            TransformerBlock(dim, self.HEADS, 4, rng.split(f"block{i}"),
+            TransformerBlock(dim, self.HEADS, rng.split(f"block{i}"),
                              trainable=False)
             for i in range(self.DEPTH)
         ]
         self.ln_g = Tensor(np.ones(dim))
         self.ln_b = Tensor(np.zeros(dim))
-        self.proj = Tensor(rng.normal((dim, out_dim), std=dim ** -0.5))
+        self.proj = Tensor(rng.normal((dim, dim), std=dim ** -0.5))
 
     def encode(self, bank: PromptBank) -> Tensor:
-        """Prototypes [N_y, out_dim], unit-normalized, all identities at once."""
+        """Prototypes [N_y, dim], unit-normalized, all identities at once."""
         if bank.dim != self.dim:
             raise ConfigError(
                 f"prompt dim {bank.dim} does not match text encoder dim {self.dim}"
@@ -134,14 +135,9 @@ def visual_text_loss(features: Tensor, labels, prototypes: Tensor,
     """Cross-entropy of pooled visual features against all prototypes.
 
     Similarity is cosine times the (capped) learnable scale; features come
-    in raw and are normalized here.
+    in raw and are normalized here; ``cross_entropy_from_logits`` checks
+    the labels.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    num_classes = prototypes.shape[0]
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise DataError(
-            f"label outside [0, {num_classes}): {labels.min()}..{labels.max()}"
-        )
     scale = clamp_max(logit_scale, LOGIT_SCALE_MAX)
     sims = matmul(unit_normalize(features), swap_axes(prototypes, -1, -2)) * scale
     return cross_entropy_from_logits(sims, labels)

@@ -32,8 +32,8 @@ from .hub import VideoModel
 from .losses import (IdentityHead, identity_cross_entropy, total_loss,
                      weighted_regularized_triplet)
 from .optim import Adam, cosine_lr
-from .prompts import (FrozenTextEncoder, PromptBank, make_logit_scale,
-                      visual_text_loss)
+from .prompts import (TEXT_SEED, FrozenTextEncoder, PromptBank,
+                      make_logit_scale, visual_text_loss)
 from .retrieval import evaluate, extract_features, save_report
 from .rng import Rng
 from .tensor import Tensor, default_dtype, set_default_dtype
@@ -73,8 +73,8 @@ class TrainingHeads:
             self.prompts = PromptBank(num_train_identities, cfg["imlp.tokens"],
                                       cfg["imlp.template"], dim,
                                       rng.split("prompts"))
-            self.text_encoder = FrozenTextEncoder(dim, dim, self.prompts.length,
-                                                  cfg["imlp.text_seed"])
+            self.text_encoder = FrozenTextEncoder(dim, self.prompts.length,
+                                                  TEXT_SEED)
             self.logit_scale = make_logit_scale()
 
     def named_parameters(self):
@@ -98,8 +98,7 @@ def build_optimizer(cfg: RunConfig, model: VideoModel,
     groups = {"": (base_params, 1.0)}
     if prompt_params:
         groups["prompt"] = (prompt_params, cfg["optim.prompt_lr_multiplier"])
-    return Adam(groups, betas=(cfg["optim.beta1"], cfg["optim.beta2"]),
-                eps=cfg["optim.eps"])
+    return Adam(groups)
 
 
 @dataclass

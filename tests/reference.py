@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from vld.data import _GOLDEN, VISIBLE
+from vld.data import _GOLDEN, NOISE_INFRARED, NOISE_VISIBLE, VISIBLE
 from vld.tensor import (_GELU_C, _GELU_K, _LN_EPS, _make, as_tensor, linear,
                         matmul, reshape, swap_axes)
 
@@ -299,11 +299,11 @@ def render_tracklet(identity, modality, spec, latents, tr_rng):
         if modality == VISIBLE:
             img = field[:, :, None] * color[None, None, :]
             img = img + tr_rng.normal((h, w, 3),
-                                      std=spec.noise_visible * extra_noise)
+                                      std=NOISE_VISIBLE * extra_noise)
         else:
             lum = field * color.mean() * 0.85 + 0.12
             img = lum[:, :, None] + tr_rng.normal(
-                (h, w, 1), std=spec.noise_infrared * extra_noise)
+                (h, w, 1), std=NOISE_INFRARED * extra_noise)
             img = np.broadcast_to(img, (h, w, 3))
         frames[t] = np.clip(img, 0.0, 1.0)
     return np.round(frames * 255.0).astype(np.uint8)

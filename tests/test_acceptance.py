@@ -282,7 +282,7 @@ def test_criterion_6_mechanism_invariants():
 
     # (d) frozen text encoder receives zero gradient.
     bank = PromptBank(3, 2, 4, 8, rng.split("prompts"))
-    text_enc = FrozenTextEncoder(8, 8, bank.length, seed=17)
+    text_enc = FrozenTextEncoder(8, bank.length, seed=17)
     protos = text_enc.encode(bank)
     (protos * Tensor(Rng(603).normal(protos.shape))).sum().backward()
     frozen = [p for blk in text_enc.blocks for _, p in blk.named_parameters("")]

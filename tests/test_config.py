@@ -36,11 +36,22 @@ def test_unknown_key_rejected_with_line():
         parse_config("encoder.dim = 32\nencoder.width = 9\n")
 
 
-def test_eval_direction_is_an_unknown_key():
-    """Evaluation always ranks both ways; the old key is rejected like
-    any unknown one."""
+@pytest.mark.parametrize("line", [
+    "train.eval_direction = both",
+    "data.noise_visible = 0.03",
+    "data.noise_infrared = 0.05",
+    "encoder.mlp_ratio = 4",
+    "imlp.text_seed = 101",
+    "optim.beta1 = 0.9",
+    "optim.beta2 = 0.999",
+    "optim.eps = 1e-08",
+], ids=lambda line: line.partition(" ")[0])
+def test_removed_key_is_an_unknown_key(line):
+    """Keys deleted for fixed values (evaluation always ranks both ways;
+    noise, MLP width, text seed and Adam's constants live in code) are
+    rejected like any unknown one, also in an older run's resolved.cfg."""
     with pytest.raises(ConfigError, match="unknown config key"):
-        parse_config("train.eval_direction = both\n")
+        parse_config(line + "\n")
 
 
 def test_bad_value_type_rejected():
@@ -113,8 +124,8 @@ AT_LEAST_ONE = (
     "data.train_identities", "data.test_identities",
     "data.tracklets_per_identity", "data.frames", "data.image_h",
     "data.image_w", "encoder.patch", "encoder.dim", "encoder.depth",
-    "encoder.heads", "encoder.mlp_ratio", "train.epoch_passes",
-    "train.batch_identities", "train.batch_tracklets", "imlp.tokens",
+    "encoder.heads", "train.epoch_passes", "train.batch_identities",
+    "train.batch_tracklets", "imlp.tokens",
 )
 AT_LEAST_ZERO = ("train.epochs", "data.pad")
 

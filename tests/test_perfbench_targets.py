@@ -1,10 +1,15 @@
-"""The benchmark's tracer patches vld functions by attribute name, so a
-rename in vld fails here, not only in a traced benchmark run."""
+"""The benchmark reads vld's names, configs and config keys, and its tracer
+patches vld functions by attribute name, so a rename or a removed key in
+vld fails here, not only in a benchmark run."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_every_traced_layer_function_is_an_attribute_of_its_owner():
@@ -16,3 +21,15 @@ def test_every_traced_layer_function_is_an_attribute_of_its_owner():
                for owner, attr, _, _ in tracing.LAYER_FUNCTIONS
                if attr not in owner.__dict__]
     assert tracing.LAYER_FUNCTIONS and not missing, missing
+
+
+def test_every_workload_runs_and_checks_out():
+    """The shortest run of every workload, untraced: every result must
+    verify."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all",
+         "--seconds", "0"], cwd=ROOT, stdout=subprocess.PIPE, text=True,
+        check=False)
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

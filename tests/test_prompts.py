@@ -15,7 +15,7 @@ from vld.tensor import Tensor
 
 def make_pair(num_ids=4, slots=4, dim=16, template=4, text_seed=101, seed=5):
     bank = PromptBank(num_ids, slots, template, dim, Rng(seed).split("prompts"))
-    enc = FrozenTextEncoder(dim, dim, bank.length, text_seed)
+    enc = FrozenTextEncoder(dim, bank.length, text_seed)
     return bank, enc
 
 

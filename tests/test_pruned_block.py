@@ -38,10 +38,10 @@ def block_problem(case, seed=0):
     rng = Rng(900 + seed)
     rows = CASES[case]
     if case == "text":
-        block = FrozenTextEncoder(16, 16, 7, seed=3).blocks[-1]
+        block = FrozenTextEncoder(16, 7, seed=3).blocks[-1]
         x = Tensor(rng.normal((5, 7, 16)), requires_grad=True)
     else:
-        block = TransformerBlock(16, 4, 4, rng.split("block"))
+        block = TransformerBlock(16, 4, rng.split("block"))
         for _, p in block.named_parameters(""):
             p.data[...] = rng.normal(p.data.shape, std=0.3)
         x = Tensor(rng.normal((2, 3, TOKENS + HUB, 16)), requires_grad=True)
@@ -142,7 +142,7 @@ def test_encode_of_cls_alone_matches_full_rows(with_hub):
 
 def test_text_encoder_matches_full_rows():
     bank = PromptBank(4, 4, 4, 16, Rng(914))
-    enc = FrozenTextEncoder(16, 16, bank.length, seed=5)
+    enc = FrozenTextEncoder(16, bank.length, seed=5)
     x = bank.sequences() + enc.pos
     for block in enc.blocks:
         x = block(x)
