@@ -83,10 +83,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from .train import hub_enabled
     cfg = _load(args)
     report = cost_report(cfg.encoder_config(), cfg["data.frames"],
-                         hub_enabled(cfg), cfg["stp.insertion_layer"])
+                         cfg["stp.enabled"], cfg["stp.insertion_layer"])
     text = format_report(report)
     print(text, end="")
     if args.out:

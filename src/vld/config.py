@@ -15,7 +15,7 @@ from .data import BatchPlan, SyntheticSpec
 from .encoder import EncoderConfig
 from .errors import ConfigError
 from .losses import LossWeights
-from .prompts import TEMPLATES
+from .prompts import TEMPLATES, FrozenTextEncoder
 
 _BOOL = {"true": True, "false": False}
 
@@ -136,10 +136,20 @@ class RunConfig:
             if v[key] < low:
                 raise ConfigError(f"{key} must be at least {low}, got {v[key]}")
         self.encoder_config()
-        if not 0 <= v["stp.insertion_layer"] <= v["encoder.depth"]:
+        if not 0 <= v["stp.insertion_layer"] < v["encoder.depth"]:
             raise ConfigError(
                 f"stp.insertion_layer {v['stp.insertion_layer']} outside "
-                f"[0, {v['encoder.depth']}]"
+                f"[0, {v['encoder.depth']}): the hub joins at an encoder block "
+                f"(stp.enabled = false, not insertion_layer = depth, turns "
+                f"STP off)"
+            )
+        if v["eval.use_hub_feature"] and not v["stp.enabled"]:
+            raise ConfigError("eval.use_hub_feature needs stp.enabled = true")
+        heads = FrozenTextEncoder.HEADS
+        if v["imlp.enabled"] and v["encoder.dim"] % heads:
+            raise ConfigError(
+                f"encoder.dim {v['encoder.dim']} not divisible by the text "
+                f"encoder's {heads} heads (imlp.enabled)"
             )
         if v["imlp.template"] not in TEMPLATES:
             raise ConfigError(f"imlp.template must be one of "

@@ -118,9 +118,9 @@ class EncodeOutput:
     sequence: Tensor            # [B, D] temporal average of frame_features
     hub_block: Tensor | None
     """[B, T, T, D] hub rows from the final layer. None when no hub is
-    attached (none given, or the ``insertion_layer = depth`` sentinel) or
-    when ``encode`` was called with ``hub_rows=False``: the last block then
-    computes the [CLS] row alone."""
+    attached (none given, or an inactive one) or when ``encode`` was
+    called with ``hub_rows=False``: the last block then computes the [CLS]
+    row alone."""
 
 
 class VisionEncoder:

@@ -6,6 +6,9 @@ onward; between consecutive hub-active layers the hub block is transposed
 across the (frame, row) axes, so rows written by one frame are handed to
 the others. The readout lets each frame's CLS token query the flattened
 hub, producing an auxiliary per-sequence feature under its own losses.
+
+A ``VideoModel`` built with ``insertion_layer=None``, as a run with
+``stp.enabled = false`` builds it, has no hub and no readout.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from .tensor import (Tensor, broadcast_to, concat, layer_norm, reshape,
 class TemporalHub:
     """[T, T, D] hub parameter plus its insertion bookkeeping.
 
-    ``insertion_layer`` is 0-based; passing ``depth`` is the documented
-    sentinel for "hub disabled", which leaves the encoder untouched.
+    ``insertion_layer`` is 0-based. A hub built with ``insertion_layer =
+    depth`` is inactive: it never joins the encoder, which then runs as
+    without a hub. Configs cannot ask for one; the mechanism tests build it.
     """
 
     def __init__(self, frames: int, dim: int, insertion_layer: int, depth: int,
@@ -94,13 +98,12 @@ class VideoModel:
     """Vision encoder plus optional hub and readout; the retrieval model."""
 
     def __init__(self, cfg: EncoderConfig, frames: int, rng: Rng,
-                 use_hub: bool, insertion_layer: int):
+                 insertion_layer: int | None):
         self.cfg = cfg
-        self.frames = frames
         self.encoder = VisionEncoder(cfg, rng.split("encoder"))
         self.hub = None
         self.readout = None
-        if use_hub:
+        if insertion_layer is not None:
             self.hub = TemporalHub(frames, cfg.dim, insertion_layer, cfg.depth,
                                    rng.split("hub"))
             self.readout = HubReadout(cfg.dim, cfg.heads, rng.split("readout"))

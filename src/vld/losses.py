@@ -35,7 +35,6 @@ class IdentityHead:
         self.w = Tensor(rng.normal((dim, num_classes), std=dim ** -0.5),
                         requires_grad=True)
         self.b = Tensor(np.zeros(num_classes), requires_grad=True)
-        self.num_classes = num_classes
 
     def logits(self, features: Tensor) -> Tensor:
         return linear(features, self.w, self.b)

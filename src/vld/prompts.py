@@ -42,7 +42,6 @@ class PromptBank:
             raise ConfigError(f"unknown prompt template id {template_id}")
         self.num_identities = num_identities
         self.slots = slots
-        self.template_id = template_id
         self.dim = dim
         self.tokens = Tensor(rng.normal((num_identities, slots, dim), std=0.02),
                              requires_grad=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import checkpoint
 from .data import Dataset, Tracklet
-from .errors import DataError
+from .errors import ContractError, DataError
 from .tensor import no_grad
 
 EXTRACT_BATCH = 16
@@ -48,11 +48,11 @@ def extract_features(model, dataset: Dataset, tracklets: list[Tracklet],
     """One unit-normalized row per tracklet, in the given order.
 
     The row is the hub readout's sequence feature when ``use_hub_feature``
-    is true and the model has a hub, and the [CLS] sequence feature
-    otherwise; then the readout does not run at all. Rows are cast to
-    float64 before they are normalised, whatever the model's precision:
-    in float32 a matrix product and per-query products round similarities
-    differently, and near-ties swap places.
+    is true (a model without a hub is then a ``ContractError``), and the
+    [CLS] sequence feature otherwise; then the readout does not run at
+    all. Rows are cast to float64 before they are normalised, whatever the
+    model's precision: in float32 a matrix product and per-query products
+    round similarities differently, and near-ties swap places.
 
     Every ``EXTRACT_BATCH`` tracklets are one no-grad ``model.forward``.
     When the process may run on more than one CPU, the calling thread runs
@@ -62,6 +62,8 @@ def extract_features(model, dataset: Dataset, tracklets: list[Tracklet],
     depend on the thread that ran it. If a batch raises, the helper's
     queued batches are cancelled and the error reaches the caller.
     """
+    if use_hub_feature and model.hub is None:
+        raise ContractError("hub feature asked of a model without a hub")
     batches = [tracklets[start:start + EXTRACT_BATCH]
                for start in range(0, len(tracklets), EXTRACT_BATCH)]
 
@@ -69,7 +71,7 @@ def extract_features(model, dataset: Dataset, tracklets: list[Tracklet],
         frames = np.stack([dataset.load_frames(t) for t in chunk])
         with no_grad():   # grad mode is per thread
             seq, hub_seq = model.forward(frames, hub_feature=use_hub_feature)
-        return (seq if hub_seq is None else hub_seq).data
+        return (hub_seq if use_hub_feature else seq).data
 
     helped = (range(1, len(batches), 2) if len(os.sched_getaffinity(0)) > 1
               else ())

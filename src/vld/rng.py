@@ -82,11 +82,10 @@ class Rng:
         out = low + (high - low) * unit_interval(self.raw(n))
         return out.reshape(shape) if shape else float(out[0])
 
-    def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        """Gaussian draws via Box-Muller (u1 kept strictly positive)."""
+    def normal(self, shape=(), std: float = 1.0) -> np.ndarray:
+        """Zero-mean Box-Muller Gaussian draws (u1 kept strictly positive)."""
         n = int(np.prod(shape)) if shape else 1
-        z = box_muller(self.raw(2 * ((n + 1) // 2)), n)
-        out = mean + std * z
+        out = std * box_muller(self.raw(2 * ((n + 1) // 2)), n)
         return out.reshape(shape) if shape else float(out[0])
 
     def integers(self, n: int, bound: int) -> np.ndarray:

@@ -113,17 +113,10 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -223,17 +216,11 @@ class Tensor:
     def __getitem__(self, idx):
         return getitem(self, idx)
 
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes) -> "Tensor":
-        return transpose(self, axes)
-
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def mean(self) -> "Tensor":
+        return tmean(self)
 
 
 def _released(g):
@@ -451,15 +438,10 @@ def sorted_mean(a, axis: int) -> Tensor:
     return _make(data, (a,), vjp)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
+    """The mean of every element."""
     a = as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.data.shape[ax] for ax in axis]))
-    else:
-        count = a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(tsum(a), 1.0 / a.data.size)
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -515,23 +497,19 @@ def linear(x, w, b) -> Tensor:
 # -- fused numeric primitives -------------------------------------------------
 
 
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
+def logsumexp(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     m = a.data.max(axis=axis, keepdims=True)
     data = np.log(np.exp(a.data - m).sum(axis=axis, keepdims=True)) + m
     soft = np.exp(a.data - data)
-    if not keepdims:
-        data = data.squeeze(axis)
 
     def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (g * soft,)
+        return (np.expand_dims(g, axis) * soft,)
 
-    return _make(data, (a,), vjp)
+    return _make(data.squeeze(axis), (a,), vjp)
 
 
-def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Backward keeps the per-row mean and inverse deviation ([..., 1]) and
@@ -544,7 +522,7 @@ def layer_norm(x, gain, bias, eps: float = _LN_EPS) -> Tensor:
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centered
     xhat *= inv
     data = xhat * gain.data

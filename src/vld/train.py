@@ -11,6 +11,9 @@ fine-tuning). ``train`` is a loop over epochs around that step, with
 evaluation and checkpoints; ``vld eval`` builds the same state and loads a
 checkpoint into it.
 
+``stp.enabled`` alone decides whether the hub, its readout and its
+identity head are built; ``imlp.enabled`` whether the prompts are.
+
 Metrics lines carry logical timestamps (step and epoch counters) rather
 than wall-clock time so identical seeds reproduce identical logs.
 """
@@ -39,20 +42,10 @@ from .rng import Rng
 from .tensor import Tensor, default_dtype, set_default_dtype
 
 
-def hub_enabled(cfg: RunConfig) -> bool:
-    """Whether the hub, its readout and its identity head are built.
-
-    ``stp.insertion_layer = encoder.depth`` is the documented "hub off"
-    sentinel: such a hub would never join the encoder.
-    """
-    return (cfg["stp.enabled"]
-            and cfg["stp.insertion_layer"] < cfg["encoder.depth"])
-
-
 def build_model(cfg: RunConfig, rng: Rng) -> VideoModel:
+    layer = cfg["stp.insertion_layer"] if cfg["stp.enabled"] else None
     return VideoModel(cfg.encoder_config(), frames=cfg["data.frames"],
-                      rng=rng, use_hub=hub_enabled(cfg),
-                      insertion_layer=cfg["stp.insertion_layer"])
+                      rng=rng, insertion_layer=layer)
 
 
 class TrainingHeads:
@@ -63,7 +56,7 @@ class TrainingHeads:
         self.id_head_cls = IdentityHead(dim, num_train_identities,
                                         rng.split("head-cls"))
         self.id_head_hub = None
-        if hub_enabled(cfg):
+        if cfg["stp.enabled"]:
             self.id_head_hub = IdentityHead(dim, num_train_identities,
                                             rng.split("head-hub"))
         self.prompts: PromptBank | None = None
@@ -159,7 +152,7 @@ def compute_losses(cfg: RunConfig, model: VideoModel, heads: TrainingHeads,
         prototypes = heads.text_encoder.encode(heads.prompts)
         parts["v2t"] = visual_text_loss(seq, labels, prototypes,
                                         heads.logit_scale)
-    if hub_seq is not None and heads.id_head_hub is not None:
+    if hub_seq is not None:
         parts["id_hub"] = identity_cross_entropy(hub_seq, labels,
                                                  heads.id_head_hub)
         parts["wrt_hub"] = weighted_regularized_triplet(hub_seq, labels)

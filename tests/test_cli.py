@@ -178,11 +178,11 @@ def test_profile_no_stp_zero_delta(tiny_cfg, tmp_path):
 
 
 @pytest.mark.parametrize("stp", [True, False])
-@pytest.mark.parametrize("layer", range(5))
+@pytest.mark.parametrize("layer", range(4))
 def test_profile_counts_the_parameters_of_the_built_model(tmp_path, layer,
                                                            stp):
-    """Insertion layer = depth is the documented hub-off setting: the
-    profile then counts no hub or readout, like the model it describes."""
+    """At every valid insertion layer, with STP on and off, the profile
+    counts the parameters of the model the config builds."""
     from vld.config import load_config
     from vld.rng import Rng
     from vld.train import build_model
@@ -195,8 +195,22 @@ def test_profile_counts_the_parameters_of_the_built_model(tmp_path, layer,
                  "--out", str(tmp_path / "prof")]) == 0
     payload = json.loads((tmp_path / "prof" / "cost_report.json").read_text())
     model = build_model(load_config(path).validate(), Rng(1))
-    assert payload["params_total"] == sum(p.size for _, p
+    assert payload["params_total"] == sum(p.data.size for _, p
                                           in model.named_parameters())
+
+
+def test_text_encoder_heads_checked_before_anything_is_written(tmp_path):
+    """With imlp.enabled, encoder.dim must divide into the frozen text
+    encoder's 4 heads; the run stops at validation, before it writes a
+    dataset or its resolved config."""
+    path = tmp_path / "odd.cfg"
+    path.write_text(TINY_TEXT.replace("encoder.dim = 16", "encoder.dim = 6")
+                    + f"data.root = {tmp_path / 'data'}\n")
+    assert "encoder.heads = 2" in TINY_TEXT
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "run" / "resolved.cfg").exists()
 
 
 def test_missing_checkpoint_is_error(tiny_cfg, tmp_path):

@@ -67,8 +67,18 @@ def test_bad_bool_rejected():
 def test_insertion_layer_validated_against_depth():
     with pytest.raises(ConfigError, match="insertion_layer"):
         parse_config("encoder.depth = 4\nstp.insertion_layer = 5\n")
-    cfg = parse_config("encoder.depth = 4\nstp.insertion_layer = 4\n")
-    assert cfg["stp.insertion_layer"] == 4  # sentinel: hub off
+    # stp.enabled = false is the one way to turn STP off.
+    with pytest.raises(ConfigError, match="stp.enabled = false"):
+        parse_config("encoder.depth = 4\nstp.insertion_layer = 4\n")
+    cfg = parse_config("encoder.depth = 4\nstp.insertion_layer = 3\n")
+    assert cfg["stp.insertion_layer"] == 3
+
+
+def test_hub_feature_without_stp_rejected():
+    with pytest.raises(ConfigError, match="eval.use_hub_feature"):
+        parse_config("stp.enabled = false\neval.use_hub_feature = true\n")
+    cfg = parse_config("stp.enabled = true\neval.use_hub_feature = true\n")
+    assert cfg["eval.use_hub_feature"] is True
 
 
 def test_patch_divisibility_validated():

@@ -37,6 +37,8 @@ encoder.patch = 4
 encoder.dim = 8
 encoder.depth = 1
 encoder.heads = 2
+stp.enabled = false
+stp.insertion_layer = 0
 train.epochs = 1
 """
 
@@ -382,7 +384,7 @@ def test_single_precision_frames_equal_rounded_double_frames(tmp_path):
                      1).load_frames(tracklet)[None]
     model = VideoModel(EncoderConfig(image_h=16, image_w=16, patch=8,
                                      depth=1, dim=8, heads=2),
-                       frames=1, rng=Rng(1), use_hub=False, insertion_layer=1)
+                       frames=1, rng=Rng(1), insertion_layer=None)
     decoded = []
     encode = model.encoder.encode
 

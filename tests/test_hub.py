@@ -40,7 +40,7 @@ def test_insertion_layer_range_checked():
         TemporalHub(4, 8, 5, 4, Rng(0))
     with pytest.raises(ConfigError):
         TemporalHub(4, 8, -1, 4, Rng(0))
-    assert not TemporalHub(4, 8, 4, 4, Rng(0)).active  # sentinel: off
+    assert not TemporalHub(4, 8, 4, 4, Rng(0)).active  # inactive hub
 
 
 def test_zero_hub_slices_back_to_original_tokens():
@@ -198,8 +198,7 @@ def test_readout_pool_is_mean_of_frame_features():
 
 
 def test_video_model_parameter_names():
-    model = VideoModel(DESK, frames=4, rng=Rng(27), use_hub=True,
-                       insertion_layer=1)
+    model = VideoModel(DESK, frames=4, rng=Rng(27), insertion_layer=1)
     names = dict(model.named_parameters())
     assert "stp/hub" in names
     assert "stp/sta/wq" in names and "stp/sta/ln_g" in names
@@ -207,16 +206,14 @@ def test_video_model_parameter_names():
 
 
 def test_hub_gradient_reaches_hub_parameter():
-    model = VideoModel(TINY, frames=3, rng=Rng(28), use_hub=True,
-                       insertion_layer=1)
+    model = VideoModel(TINY, frames=3, rng=Rng(28), insertion_layer=1)
     seq, hub_seq = model.forward(random_frames(29, (2, 3, 8, 8, 3)))
     (hub_seq * Tensor(Rng(30).normal((2, 8)))).sum().backward()
     assert np.abs(model.hub.h.grad).max() > 0
 
 
 def test_forward_rejects_frames_that_are_not_stored_uint8():
-    model = VideoModel(TINY, frames=3, rng=Rng(28), use_hub=True,
-                       insertion_layer=1)
+    model = VideoModel(TINY, frames=3, rng=Rng(28), insertion_layer=1)
     frames = random_frames(29, (2, 3, 8, 8, 3))
     for decoded in (frames / 255.0, (frames / 255.0).astype(np.float32),
                     Tensor(frames)):

@@ -33,3 +33,16 @@ def test_every_workload_runs_and_checks_out():
     assert proc.returncode == 0, proc.stdout[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+
+
+def test_traced_run_checks_out():
+    """One traced run: the tracer's counter hooks read model attributes
+    (``TemporalHub.active`` and ``.insertion_layer``, ``VisionEncoder.cfg``)
+    that an untraced run never touches."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "train-step",
+         "--seconds", "0", "--trace", "1"], cwd=ROOT, stdout=subprocess.PIPE,
+        text=True, check=False)
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

@@ -13,7 +13,7 @@ DESK = EncoderConfig(image_h=32, image_w=16, patch=8, depth=4, dim=64, heads=4)
 
 
 def enumerate_model_params(model: VideoModel) -> int:
-    return sum(p.size for _, p in model.named_parameters())
+    return sum(p.data.size for _, p in model.named_parameters())
 
 
 def test_stp_param_delta_is_exactly_2391552():
@@ -51,8 +51,8 @@ def test_param_formula_matches_enumerated_model_exactly():
         (EncoderConfig(image_h=8, image_w=8, patch=4, depth=2, dim=8,
                        heads=2), 2, True, 0),
     ]:
-        model = VideoModel(cfg, frames=frames, rng=Rng(1), use_hub=stp,
-                           insertion_layer=layer)
+        model = VideoModel(cfg, frames=frames, rng=Rng(1),
+                           insertion_layer=layer if stp else None)
         report = count_params(cfg, frames=frames, stp_enabled=stp)
         assert enumerate_model_params(model) == report.params_total
 
@@ -60,7 +60,7 @@ def test_param_formula_matches_enumerated_model_exactly():
 def test_readout_params_match_enumerated_readout():
     from vld.hub import HubReadout
     readout = HubReadout(64, 4, Rng(2))
-    total = sum(p.size for _, p in readout.named_parameters())
+    total = sum(p.data.size for _, p in readout.named_parameters())
     assert total == readout_params(64)
 
 

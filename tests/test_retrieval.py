@@ -198,7 +198,7 @@ def serial_rows(model, dataset, tracklets, use_hub_feature=False):
             frames = np.stack([dataset.load_frames(t) for t in
                                tracklets[start:start + EXTRACT_BATCH]])
             seq, hub_seq = model.forward(frames, hub_feature=use_hub_feature)
-            rows.append((seq if hub_seq is None else hub_seq).data)
+            rows.append((hub_seq if use_hub_feature else seq).data)
     rows = np.concatenate(rows, dtype=np.float64)
     return rows / np.maximum(np.linalg.norm(rows, axis=1, keepdims=True),
                              1e-12)
@@ -246,6 +246,23 @@ def test_readout_runs_only_for_the_hub_feature(tmp_path, monkeypatch):
     assert len(calls) == 2
     np.testing.assert_array_equal(index.features,
                                   serial_rows(model, dataset, picks, True))
+
+
+def test_hub_feature_of_a_model_without_a_hub_is_a_contract_error(tmp_path):
+    """Asked for the hub feature, a model without a hub raises rather than
+    ranking its [CLS] rows."""
+    from vld.config import parse_config
+    from vld.errors import ContractError
+    from vld.retrieval import extract_features
+    from vld.train import build_model
+
+    dataset, _ = extract_problem(tmp_path / "d")
+    model = build_model(parse_config(EXTRACT_CFG + "stp.enabled = false\n"),
+                        Rng(1).split("init"))
+    picks = dataset.tracklets[:2]
+    with pytest.raises(ContractError, match="without a hub"):
+        extract_features(model, dataset, picks, use_hub_feature=True)
+    assert extract_features(model, dataset, picks).features.shape == (2, 16)
 
 
 @pytest.mark.parametrize("use_hub_feature", [False, True])

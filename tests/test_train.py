@@ -104,19 +104,6 @@ def test_two_runs_same_seed_bit_identical(tmp_path, monkeypatch, precision):
     assert all(r.dtype == PRECISIONS[precision] for r in records.values())
 
 
-def test_hub_off_sentinel_trains_as_hub_disabled(tmp_path):
-    # stp.insertion_layer = encoder.depth is the documented "hub off"
-    # sentinel: no hub, readout or hub head is built, and the run repeats
-    # the stp.enabled = false run byte for byte.
-    sentinel = tiny_config(tmp_path / "data", **{"stp.insertion_layer": 2})
-    disabled = tiny_config(tmp_path / "data", **{"stp.enabled": False})
-    train(sentinel, tmp_path / "run_sentinel")
-    train(disabled, tmp_path / "run_disabled")
-    log = (tmp_path / "run_sentinel" / "metrics.log").read_bytes()
-    assert b"loss_id_hub" not in log
-    assert log == (tmp_path / "run_disabled" / "metrics.log").read_bytes()
-
-
 def test_different_seed_changes_outcome(tmp_path):
     train(tiny_config(tmp_path / "data"), tmp_path / "run_a")
     train(tiny_config(tmp_path / "data", **{"train.seed": 2}),
