@@ -62,8 +62,10 @@ _MINIMUMS: dict[str, int] = {
         "data.train_identities", "data.test_identities",
         "data.tracklets_per_identity", "data.frames", "data.image_h",
         "data.image_w", "encoder.patch", "encoder.dim", "encoder.depth",
-        "encoder.heads", "train.epoch_passes", "train.batch_identities",
-        "train.batch_tracklets", "imlp.tokens"), 1),
+        "encoder.heads", "train.epoch_passes", "train.batch_tracklets",
+        "imlp.tokens"), 1),
+    # A batch of one identity has no negative for the triplet loss.
+    "train.batch_identities": 2,
     "train.epochs": 0,
     "data.pad": 0,
 }
@@ -145,6 +147,12 @@ class RunConfig:
             )
         if v["eval.use_hub_feature"] and not v["stp.enabled"]:
             raise ConfigError("eval.use_hub_feature needs stp.enabled = true")
+        if v["imlp.enabled"] and v["data.train_identities"] < 2:
+            raise ConfigError(
+                f"imlp.enabled needs at least 2 training identities for the "
+                f"prompt classifier, got data.train_identities = "
+                f"{v['data.train_identities']}"
+            )
         heads = FrozenTextEncoder.HEADS
         if v["imlp.enabled"] and v["encoder.dim"] % heads:
             raise ConfigError(

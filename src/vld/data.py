@@ -22,7 +22,9 @@ the package format (``vld.checkpoint``) with these records in order:
   does not load.
 
 The manifest and split come last, so a container cut short anywhere
-lacks them and does not load.
+lacks them and does not load. ``generate`` renders the tracklets in
+chunks, on up to two threads, and streams each chunk's records as it is
+done; a tracklet's bytes do not depend on its chunk or thread.
 
 Frames stay in their stored form, uint8 [T, H, W, 3], through loading,
 augmentation and batching; ``vld.hub.VideoModel.forward`` decodes each
@@ -32,6 +34,8 @@ batch to [0, 1].
 from __future__ import annotations
 
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +55,11 @@ _IR_CAMERAS = (2, 3)
 _GOLDEN = 0.618033988749895
 NOISE_VISIBLE = 0.03
 NOISE_INFRARED = 0.05
+# Tracklets rendered in one numpy pass: about the words 16 desk tracklets
+# draw. Per-call overhead dominates one desk tracklet's render, and two
+# threads only gain on arrays this large: at half the budget they ran
+# slower than one. Larger chunks raise generation's peak memory.
+CHUNK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -123,122 +132,224 @@ class Dataset:
 # -- identity signal ----------------------------------------------------------
 
 
-def _identity_latent(identity: int, spec: SyntheticSpec, rng: Rng):
-    """Per-identity pattern, channel color, stripe frequency and speed.
+def _latents(spec: SyntheticSpec, rng: Rng) -> tuple:
+    """Every identity's pattern, channel color, color mean, stripe
+    frequency and speed, stacked along a leading identity axis: [L, H, W],
+    [L, 3], [L], [L] and [L].
 
-    The pattern sums nine terms amp * cos(pi u y + phase) * cos(pi v x),
-    (u, v) in row-major order over 3 x 3; one ``raw`` call draws each
-    term's normal amplitude (two words) and uniform phase (one word), in
-    the order a term-by-term loop consumes them."""
-    id_rng = rng.split(f"identity{identity}")
+    Identity i's pattern sums nine terms amp * cos(pi u y + phase) *
+    cos(pi v x), (u, v) in row-major order over 3 x 3. Its stream
+    ``identity<i>`` draws each term's normal amplitude (two words) and
+    uniform phase (one word), in the order a term-by-term loop consumes
+    them, then three color words."""
+    identities = range(spec.num_identities)
     h, w = spec.image_h, spec.image_w
     yy = np.linspace(0.0, 1.0, h)[:, None]
     xx = np.linspace(0.0, 1.0, w)[None, :]
-    words = id_rng.raw(27).reshape(9, 3)
-    amps = box_muller(words[:, :2], 1)[:, :, None]
-    phases = 2.0 * np.pi * unit_interval(words[:, 2:])[:, :, None]
-    u, v = np.divmod(np.arange(9), 3)
-    terms = (amps * np.cos(np.pi * u[:, None, None] * yy + phases)
-             * np.cos(np.pi * v[:, None, None] * xx))
-    pattern = np.zeros((h, w))
-    for term in terms:   # added one by one, in the loop's rounding order
-        pattern += term
-    pattern /= max(1e-9, np.abs(pattern).max())
+    words = Rng.raw_rows([rng.split(f"identity{i}") for i in identities], 30)
+    term_words = words[:, :27].reshape(-1, 9, 3)
+    amps = box_muller(term_words[..., :2], 1)[..., None]          # [L, 9, 1, 1]
+    phases = 2.0 * np.pi * unit_interval(term_words[..., 2:])[..., None]
+    patterns = np.zeros((len(identities), h, w))
+    for k in range(9):   # added one by one, in the loop's rounding order
+        u, v = divmod(k, 3)
+        patterns += (amps[:, k] * np.cos(np.pi * u * yy + phases[:, k])
+                     * np.cos(np.pi * v * xx))
+    patterns /= np.maximum(1e-9, np.abs(patterns).max(axis=(1, 2)))[
+        :, None, None]
     # Hue varies per identity, mean brightness does not: the infrared
     # projection must not leak identity through a scalar brightness cue.
-    color = id_rng.uniform((3,), low=0.4, high=1.0)
-    color *= 0.7 / color.mean()
-    stripe_freq = 1 + identity % 2
+    # Each mean is taken over its own row, as ``ndarray.mean`` rounds it.
+    colors = 0.4 + (1.0 - 0.4) * unit_interval(words[:, 27:])
+    colors *= (0.7 / np.array([color.mean() for color in colors]))[:, None]
+    stripe_freqs = np.array([1 + i % 2 for i in identities])
     # Low-discrepancy spread of per-frame phase speeds across identities.
-    speed = 2.0 * np.pi * (0.08 + 0.84 * ((identity * _GOLDEN) % 1.0))
-    return pattern, color, stripe_freq, speed
+    speeds = np.array([2.0 * np.pi * (0.08 + 0.84 * ((i * _GOLDEN) % 1.0))
+                       for i in identities])
+    return (patterns, colors, np.array([color.mean() for color in colors]),
+            stripe_freqs, speeds)
 
 
-def _render_tracklet(identity: int, modality: str, spec: SyntheticSpec,
-                     latents: list, tr_rng: Rng) -> np.ndarray:
-    """All frames of one tracklet at once; all but one random clear frame
-    are crossed by a distractor identity's pattern at ``occlusion``
-    strength (plus extra noise), the way passers-by corrupt real
-    tracklets. Frame pooling mixes the identities; content-aware
-    cross-frame aggregation can prefer the clear frame.
-
-    One ``raw`` call draws every word, in the order a frame-by-frame
-    renderer consumes them: the start phase, the clear frame, then per
-    frame an optional distractor word and its noise words."""
-    pattern, color, stripe_freq, speed = latents[identity]
-    frames, h, w = spec.frames, spec.image_h, spec.image_w
+def _noise_words(spec: SyntheticSpec, modality: str) -> int:
+    """Words one frame's pixel noise draws: an even count, two per pair
+    of Box-Muller normals."""
     channels = 3 if modality == VISIBLE else 1
-    noise_words = 2 * ((h * w * channels + 1) // 2)
-    words = tr_rng.raw(2 + (frames - 1) + frames * noise_words)
-    phase0 = 2.0 * np.pi * float(unit_interval(words[:1])[0])
-    clear_frame = int(words[1] % np.uint64(frames))
-    ts = np.arange(frames)
-    occluded = ts != clear_frame
-    # Frame t's noise words start after the two leading words, t blocks of
-    # noise words and one distractor word for each occluded frame so far.
-    noise_start = 2 + ts * noise_words + np.cumsum(occluded)
-    distractor_words = words[noise_start[occluded] - 1]
-    noise = box_muller(words[noise_start[:, None] + np.arange(noise_words)],
-                       h * w * channels)
+    return 2 * ((spec.image_h * spec.image_w * channels + 1) // 2)
 
-    contents = np.empty((frames, h, w))
-    contents[clear_frame] = spec.pattern_amp * pattern
-    distractors = (identity + 1 + (distractor_words % np.uint64(
-        len(latents) - 1)).astype(np.int64)) % len(latents)
-    for t, distractor in zip(ts[occluded], distractors.tolist()):
-        contents[t] = spec.pattern_amp * spec.occlusion * latents[distractor][0]
-    extra_noise = np.where(occluded, 1.5, 1.0)[:, None]
+
+def _tracklet_words(spec: SyntheticSpec, modality: str) -> int:
+    """Words one tracklet draws: the start phase, the clear frame, one
+    distractor word per occluded frame and every frame's noise."""
+    return 2 + (spec.frames - 1) + spec.frames * _noise_words(spec, modality)
+
+
+def _chunks(spec: SyntheticSpec, rows: list[Tracklet]) -> list[slice]:
+    """Runs of consecutive tracklets, each closed before the words its
+    tracklets draw would pass ``CHUNK_WORDS``; a tracklet larger than the
+    budget is a chunk of its own."""
+    cost = {modality: _tracklet_words(spec, modality)
+            for modality in MODALITIES}
+    chunks, start, words = [], 0, 0
+    for i, row in enumerate(rows):
+        if i > start and words + cost[row.modality] > CHUNK_WORDS:
+            chunks.append(slice(start, i))
+            start, words = i, 0
+        words += cost[row.modality]
+    return chunks + [slice(start, len(rows))]
+
+
+def _render_chunk(tracklets: list[Tracklet], streams: list[Rng],
+                  spec: SyntheticSpec, latents: tuple) -> list[np.ndarray]:
+    """The uint8 frames [T, H, W, 3] of each tracklet, drawn from its
+    stream; all tracklets of one modality are rendered in one numpy pass,
+    so each tracklet's bytes do not depend on the chunk it is in."""
+    out = [None] * len(tracklets)
+    for modality in MODALITIES:
+        picks = [i for i, t in enumerate(tracklets) if t.modality == modality]
+        if picks:
+            block = _render_modality(
+                np.array([tracklets[i].identity for i in picks]), modality,
+                [streams[i] for i in picks], spec, latents)
+            for i, frames in zip(picks, block):
+                out[i] = frames
+    return out
+
+
+def _render_modality(identities: np.ndarray, modality: str,
+                     streams: list[Rng], spec: SyntheticSpec,
+                     latents: tuple) -> np.ndarray:
+    """Frames [n, T, H, W, 3] of n tracklets of one modality. In each,
+    all but one random clear frame are crossed by a distractor identity's
+    pattern at ``occlusion`` strength (plus extra noise), the way
+    passers-by corrupt real tracklets. Frame pooling mixes the
+    identities; content-aware cross-frame aggregation can prefer the
+    clear frame.
+
+    One ``Rng.raw_rows`` call draws each tracklet's words, in the order a
+    frame-by-frame renderer consumes them: the start phase, the clear
+    frame, then per frame an optional distractor word and its noise
+    words."""
+    patterns, colors, color_means, freqs, speeds = latents
+    n, frames, h, w = len(identities), spec.frames, spec.image_h, spec.image_w
+    channels = 3 if modality == VISIBLE else 1
+    noise_words = _noise_words(spec, modality)
+    words = Rng.raw_rows(streams, _tracklet_words(spec, modality))
+    phase0 = 2.0 * np.pi * unit_interval(words[:, 0])
+    clear_frame = (words[:, 1] % np.uint64(frames)).astype(np.int64)
+    ts = np.arange(frames)
+    occluded = ts != clear_frame[:, None]                           # [n, T]
+    # Frame t's noise words start after the two leading words and t blocks
+    # of a distractor word and noise words, one word later while the
+    # clear frame, which draws no distractor word, is still ahead; each
+    # occluded frame's distractor word comes just before its noise.
+    ahead = clear_frame[:, None] > ts
+    noise_start = 2 + ts * (noise_words + 1) + ahead
+    distractor_words = np.take_along_axis(words, noise_start - 1, axis=1)
+    noise = np.empty((n, frames, noise_words), np.uint64)
+    for t in range(frames):
+        at = 2 + t * (noise_words + 1)
+        np.copyto(noise[:, t], words[:, at:at + noise_words])
+        if t < frames - 1:   # the clear frame is never ahead of the last
+            np.copyto(noise[:, t], words[:, at + 1:at + 1 + noise_words],
+                      where=ahead[:, t, None])
+    del words   # dropped before the normals, which peak the chunk's memory
+    noise = box_muller(noise, h * w * channels)
+
+    # An occluded frame shows its distractor's pattern, the clear frame
+    # the tracklet's own identity's.
+    distractors = (identities[:, None] + 1 + (distractor_words % np.uint64(
+        len(patterns) - 1)).astype(np.int64)) % len(patterns)
+    shown = np.where(occluded, distractors, identities[:, None])
+    amps = np.where(occluded, spec.pattern_amp * spec.occlusion,
+                    spec.pattern_amp)
+    noise *= np.where(occluded, 1.5, 1.0)[:, :, None] * (
+        NOISE_VISIBLE if modality == VISIBLE else NOISE_INFRARED)
+    noise = noise.reshape(n, frames, h, w, channels)
 
     xx = np.linspace(0.0, 1.0, w)[None, :]
-    stripe = np.sin(2.0 * np.pi * stripe_freq * xx + phase0
-                    + (ts * speed)[:, None, None])
+    stripe = np.sin((2.0 * np.pi * freqs[identities])[:, None, None, None]
+                    * xx + phase0[:, None, None, None]
+                    + (ts * speeds[identities][:, None])[:, :, None, None])
     # Amplitudes keep the field inside ~[0.1, 0.9]: quantization should
-    # be the only nonlinearity, not clipping.
-    field = 0.5 + contents + spec.stripe_amp * np.broadcast_to(
-        stripe, (frames, h, w))
+    # be the only nonlinearity, not clipping. Each in-place step below
+    # rounds as the expression 0.5 + content + stripe_amp * stripe and
+    # the colour or luminance and noise terms after it would.
+    field = patterns[shown]
+    field *= amps[:, :, None, None]
+    field += 0.5
+    field += spec.stripe_amp * stripe
     if modality == VISIBLE:
-        img = field[..., None] * color
-        img = img + (0.0 + NOISE_VISIBLE * extra_noise * noise).reshape(
-            frames, h, w, 3)
+        img = field[..., None] * colors[identities][:, None, None, None]
     else:
-        lum = field * color.mean() * 0.85 + 0.12
-        img = lum[..., None] + (0.0 + NOISE_INFRARED * extra_noise
-                                * noise).reshape(frames, h, w, 1)
-        img = np.broadcast_to(img, (frames, h, w, 3))
-    return np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
+        field *= color_means[identities][:, None, None, None]
+        field *= 0.85
+        field += 0.12
+        img = field[..., None]
+    img += noise
+    np.clip(img, 0.0, 1.0, out=img)
+    img *= 255.0
+    np.round(img, out=img)
+    return np.ascontiguousarray(np.broadcast_to(img.astype(np.uint8),
+                                                (n, frames, h, w, 3)))
 
 
 def generate(spec: SyntheticSpec, seed: int, root) -> Dataset:
     """Write a deterministic dataset; train/test identities are disjoint.
 
-    Tracklets are rendered one at a time and streamed into
-    ``frames.vldt``, so memory holds one tracklet, and the manifest and
-    split follow them. The container is written atomically, so a
-    generation cut short leaves the old dataset, or none."""
+    Tracklets are rendered in chunks of about ``CHUNK_WORDS`` drawn
+    words and streamed into ``frames.vldt`` in tracklet order, then the
+    manifest and split. When the process may run on more than one CPU,
+    the calling thread renders the even chunks and one helper thread, at
+    most one chunk ahead and joined before return, the odd ones, so
+    memory holds about two chunks, not the dataset. A tracklet's bytes
+    do not depend on its chunk or thread. The container is written
+    atomically, so a generation cut short, or a raise in either thread,
+    leaves the old dataset, or none."""
     if spec.num_identities < 2:
         raise ConfigError("need at least 2 identities")
     root = Path(root)
     rng = Rng(seed).split("data-synth")
-    latents = [_identity_latent(identity, spec, rng)
-               for identity in range(spec.num_identities)]
-    rows, streams = [], []
+    latents = _latents(spec, rng)
+    rows, tags = [], []
     for identity in range(spec.num_identities):
         for modality in MODALITIES:
             cameras = _VIS_CAMERAS if modality == VISIBLE else _IR_CAMERAS
             for k in range(spec.tracklets_per_identity):
                 rows.append(Tracklet(len(rows), identity, modality,
                                      cameras[k % len(cameras)], spec.frames))
-                streams.append(rng.split(f"tr{identity}/{modality}/{k}"))
+                tags.append(f"tr{identity}/{modality}/{k}")
     manifest = np.array([(r.tracklet_id, r.identity,
                           MODALITIES.index(r.modality), r.camera,
                           r.frame_count) for r in rows], dtype=np.int64)
-    checkpoint.save(root / FRAMES_FILE, itertools.chain(
-        ((row.record, _render_tracklet(row.identity, row.modality, spec,
-                                       latents, stream))
-         for row, stream in zip(rows, streams)),
-        [("manifest", manifest),
-         ("num_train_identities",
-          np.array(spec.num_train_identities, dtype=np.int64))]))
+
+    chunks = _chunks(spec, rows)
+
+    def render(chunk: slice) -> list:
+        streams = [rng.split(tag) for tag in tags[chunk]]
+        return list(zip((row.record for row in rows[chunk]), _render_chunk(
+            rows[chunk], streams, spec, latents)))
+
+    helped = len(os.sched_getaffinity(0)) > 1
+    # One helper, not a pool of two, as in ``retrieval.extract_features``;
+    # its thread starts only once a chunk is submitted to it.
+    helper = ThreadPoolExecutor(max_workers=1)
+
+    def records():
+        for i in range(0, len(chunks), 2):
+            pair = chunks[i:i + 2]
+            odd = (helper.submit(render, pair[1])
+                   if helped and len(pair) == 2 else None)
+            yield from render(pair[0])
+            if len(pair) == 2:
+                yield from odd.result() if odd else render(pair[1])
+
+    try:
+        checkpoint.save(root / FRAMES_FILE, itertools.chain(records(), [
+            ("manifest", manifest),
+            ("num_train_identities",
+             np.array(spec.num_train_identities, dtype=np.int64))]))
+    finally:
+        helper.shutdown(cancel_futures=True)
     return Dataset(checkpoint.Reader(root / FRAMES_FILE), rows,
                    spec.num_train_identities)
 

@@ -99,7 +99,6 @@ class VideoModel:
 
     def __init__(self, cfg: EncoderConfig, frames: int, rng: Rng,
                  insertion_layer: int | None):
-        self.cfg = cfg
         self.encoder = VisionEncoder(cfg, rng.split("encoder"))
         self.hub = None
         self.readout = None

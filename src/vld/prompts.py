@@ -34,8 +34,6 @@ class PromptBank:
 
     def __init__(self, num_identities: int, slots: int, template_id: int,
                  dim: int, rng: Rng):
-        if num_identities < 2:
-            raise ConfigError(f"need at least 2 identities, got {num_identities}")
         if slots < 1:
             raise ConfigError(f"need at least 1 learnable slot, got {slots}")
         if template_id not in TEMPLATES:

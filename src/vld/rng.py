@@ -22,10 +22,29 @@ _ERR = {"over": "ignore"}
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of every word of ``z``, in place."""
     with np.errstate(**_ERR):
-        z = (z ^ (z >> np.uint64(30))) * _MIX_A
-        z = (z ^ (z >> np.uint64(27))) * _MIX_B
-        return z ^ (z >> np.uint64(31))
+        t = np.right_shift(z, np.uint64(30), out=np.empty_like(z))
+        z ^= t
+        z *= _MIX_A
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= _MIX_B
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+        return z
+
+
+def _words(seed, key, starts, n: int) -> np.ndarray:
+    """Words ``starts`` to ``starts + n - 1`` of the stream (``seed``,
+    ``key``), along a new last axis. Word i is the mix of
+    seed + gamma * (i + 1) + key, in uint64 arithmetic, which wraps
+    exactly, so the sum is grouped as one add per word."""
+    with np.errstate(**_ERR):
+        base = seed + _GAMMA * (starts + np.uint64(1)) + key
+        z = np.add(np.multiply(_GAMMA, np.arange(n, dtype=np.uint64)),
+                   np.asarray(base)[..., None])
+    return _mix(z)
 
 
 def _fnv1a(tag: str) -> int:
@@ -37,21 +56,30 @@ def _fnv1a(tag: str) -> int:
 
 def unit_interval(words: np.ndarray) -> np.ndarray:
     """Doubles in [0, 1) with 53-bit resolution, one per word."""
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.multiply(words >> np.uint64(11), 2.0**-53)
 
 
 def box_muller(words: np.ndarray, n: int) -> np.ndarray:
     """``n`` standard normals from each row of ``2 * ceil(n / 2)`` words
     along the last axis: the first half gives u1 (kept strictly
-    positive), the second half u2."""
+    positive), the second half u2. Normal i is r cos(theta) for i below
+    the half and r sin(theta) above it, with r = sqrt(-2 ln u1) and
+    theta = 2 pi u2, computed in place in that order."""
     pairs = words.shape[-1] // 2
-    u1 = ((words[..., :pairs] >> np.uint64(11)).astype(np.float64) + 1.0) \
-        * 2.0**-53
-    u2 = unit_interval(words[..., pairs:])
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)],
-                          axis=-1)[..., :n]
+    r = np.add(words[..., :pairs] >> np.uint64(11), 1.0)
+    r *= 2.0**-53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    out = np.empty(words.shape[:-1] + (2 * pairs,))
+    theta = np.multiply(words[..., pairs:] >> np.uint64(11), 2.0**-53,
+                        out=out[..., pairs:])   # unit_interval, in place
+    theta *= 2.0 * np.pi
+    np.cos(theta, out=out[..., :pairs])
+    np.sin(theta, out=theta)
+    out[..., :pairs] *= r
+    out[..., pairs:] *= r
+    return out[..., :n]
 
 
 class Rng:
@@ -63,18 +91,31 @@ class Rng:
         self._counter = 0
 
     def split(self, tag: str) -> "Rng":
-        """Derive an independent child stream named by ``tag``."""
-        child_key = _mix(np.asarray(int(self._key) ^ _fnv1a(tag),
-                                    dtype=np.uint64))
-        return Rng(int(self._seed), int(child_key))
+        """Derive an independent child stream named by ``tag``: its key is
+        ``_mix`` of this key xor the tag's FNV-1a hash, worked on Python
+        ints, exactly and at a fraction of a 0-d array's per-call cost."""
+        z = int(self._key) ^ _fnv1a(tag)
+        for shift, factor in ((30, _MIX_A), (27, _MIX_B)):
+            z = ((z ^ (z >> shift)) * int(factor)) & _U64_MASK
+        return Rng(int(self._seed), z ^ (z >> 31))
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words."""
-        idx = np.arange(self._counter, self._counter + n, dtype=np.uint64)
+        start = np.uint64(self._counter)
         self._counter += n
-        with np.errstate(**_ERR):
-            z = self._seed + _GAMMA * (idx + np.uint64(1)) + self._key
-        return _mix(z)
+        return _words(self._seed, self._key, start, n)
+
+    @staticmethod
+    def raw_rows(streams: list["Rng"], n: int) -> np.ndarray:
+        """Next ``n`` raw words of each stream as a [streams, n] array:
+        row i is ``streams[i].raw(n)``, and each counter advances by
+        ``n`` as that call would advance it."""
+        seeds = np.array([s._seed for s in streams], dtype=np.uint64)
+        keys = np.array([s._key for s in streams], dtype=np.uint64)
+        starts = np.array([s._counter for s in streams], dtype=np.uint64)
+        for stream in streams:
+            stream._counter += n
+        return _words(seeds, keys, starts, n)
 
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """Doubles in [low, high) with 53-bit resolution."""

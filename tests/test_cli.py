@@ -213,6 +213,39 @@ def test_text_encoder_heads_checked_before_anything_is_written(tmp_path):
     assert not (tmp_path / "run" / "resolved.cfg").exists()
 
 
+def test_one_identity_batches_checked_before_anything_is_written(tmp_path,
+                                                                 capsys):
+    """A batch of one identity has no negative for the triplet loss; the
+    run stops at validation, before it writes a dataset or any run
+    file."""
+    path = tmp_path / "one.cfg"
+    path.write_text(TINY_TEXT.replace("train.batch_identities = 2",
+                                      "train.batch_identities = 1")
+                    + f"data.root = {tmp_path / 'data'}\n")
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "train.batch_identities" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "run").exists()
+
+
+def test_prompts_for_one_identity_checked_before_anything_is_written(
+        tmp_path, capsys):
+    """IMLP's prompt classifier needs two training identities; with one,
+    the run stops at validation, before it writes a dataset or its
+    resolved config."""
+    path = tmp_path / "one.cfg"
+    path.write_text(TINY_TEXT.replace("data.train_identities = 4",
+                                      "data.train_identities = 1")
+                    + f"data.root = {tmp_path / 'data'}\n")
+    assert "imlp.enabled" not in TINY_TEXT   # on by default
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "imlp.enabled" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "run" / "resolved.cfg").exists()
+
+
 def test_missing_checkpoint_is_error(tiny_cfg, tmp_path):
     main(["gen-data", "--config", str(tiny_cfg)])
     code = main(["eval", "--config", str(tiny_cfg),

@@ -1,8 +1,11 @@
 """Synthetic benchmark: determinism, learnability floor, augmentations,
 and the identity-balanced cross-modality sampler."""
 
+import dataclasses
 import hashlib
+import os
 import shutil
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -121,21 +124,52 @@ def test_desk_dataset_frames_are_pinned(tmp_path):
                    image_w=8), 4),
 ])
 def test_renderer_equals_frame_by_frame_reference(spec, seed):
+    """Every tracklet rendered in chunks of one, of three (straddling both
+    modalities) or all at once: its bytes equal the frame-by-frame
+    reference's, and its stream ends where the reference leaves it."""
     rng = Rng(seed).split("data-synth")
-    latents = [data._identity_latent(i, spec, rng)
-               for i in range(spec.num_identities)]
+    latents = data._latents(spec, rng)
+    reference_latents = [reference.identity_latent(i, spec, rng)
+                         for i in range(spec.num_identities)]
+    tracklets, tags = [], []
     for identity in range(spec.num_identities):
         for modality in (VISIBLE, INFRARED):
             for k in range(spec.tracklets_per_identity):
-                tag = f"tr{identity}/{modality}/{k}"
-                fast, slow = rng.split(tag), rng.split(tag)
-                got = data._render_tracklet(identity, modality, spec,
-                                            latents, fast)
-                want = reference.render_tracklet(identity, modality, spec,
-                                                 latents, slow)
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-                assert fast.raw(1).tolist() == slow.raw(1).tolist()
+                tracklets.append(Tracklet(len(tracklets), identity, modality,
+                                          0, spec.frames))
+                tags.append(f"tr{identity}/{modality}/{k}")
+    for chunk in (1, 3, len(tracklets)):
+        fast = [rng.split(tag) for tag in tags]
+        got = []
+        for start in range(0, len(tracklets), chunk):
+            got += data._render_chunk(tracklets[start:start + chunk],
+                                      fast[start:start + chunk], spec,
+                                      latents)
+        assert len(got) == len(tracklets)
+        for tracklet, tag, frames, stream in zip(tracklets, tags, got, fast):
+            slow = rng.split(tag)
+            want = reference.render_tracklet(tracklet.identity,
+                                             tracklet.modality, spec,
+                                             reference_latents, slow)
+            assert frames.dtype == want.dtype and frames.shape == want.shape
+            assert frames.flags.c_contiguous
+            assert frames.tobytes() == want.tobytes()
+            assert stream.raw(1).tolist() == slow.raw(1).tolist()
+
+
+def test_raw_rows_equals_one_raw_call_per_stream():
+    """Row i is what ``streams[i].raw(n)`` would return, and every stream
+    advances as that call would, whatever its position before."""
+    streams = [Rng(3).split(f"s{i}") for i in range(4)]
+    twins = [Rng(3).split(f"s{i}") for i in range(4)]
+    for i, (stream, twin) in enumerate(zip(streams, twins)):
+        stream.raw(i)
+        twin.raw(i)
+    rows = Rng.raw_rows(streams, 5)
+    assert rows.dtype == np.uint64 and rows.shape == (4, 5)
+    for row, stream, twin in zip(rows, streams, twins):
+        assert row.tolist() == twin.raw(5).tolist()
+        assert stream.raw(2).tolist() == twin.raw(2).tolist()
 
 
 class RecordingRng:
@@ -159,16 +193,22 @@ class RecordingRng:
 ])
 @pytest.mark.parametrize("seed", [1, 2, 9])
 def test_identity_latent_equals_term_by_term_reference(spec, seed):
+    """Each identity's row of the stacked latents equals the term-by-term
+    reference, and each identity stream ends where the reference leaves
+    it."""
     rng = Rng(seed).split("data-synth")
-    for identity in range(spec.num_identities):
-        fast, slow = RecordingRng(rng), RecordingRng(rng)
-        got = data._identity_latent(identity, spec, fast)
-        want = reference.identity_latent(identity, spec, slow)
-        for a, b in zip(got[:2], want[:2]):   # pattern, color
+    fast = RecordingRng(rng)
+    patterns, colors, color_means, freqs, speeds = data._latents(spec, fast)
+    assert len(fast.children) == spec.num_identities
+    for identity, child in enumerate(fast.children):
+        slow = RecordingRng(rng)
+        pattern, color, freq, speed = reference.identity_latent(
+            identity, spec, slow)
+        for a, b in ((patterns[identity], pattern), (colors[identity], color),
+                     (color_means[identity], color.mean())):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert got[2:] == want[2:]            # stripe frequency, speed
-        assert [c.raw(1).tolist() for c in fast.children] == \
-            [c.raw(1).tolist() for c in slow.children]
+        assert (freqs[identity], speeds[identity]) == (freq, speed)
+        assert child.raw(1).tolist() == slow.children[0].raw(1).tolist()
 
 
 def test_tracklet_counting():
@@ -241,13 +281,18 @@ def rewrite_records(root, **changes):
 
 def test_regeneration_cut_short_keeps_the_old_container(tmp_path,
                                                         monkeypatch):
-    """Killed at the third tracklet, the regeneration leaves the old
+    """Killed at the third of six chunks, the regeneration leaves the old
     container byte for byte, no temporary file, and the old dataset."""
     root = tmp_path / "d"
     old = generate(SMALL, 1, root)
     blob = (root / "frames.vldt").read_bytes()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    # One identity's four tracklets per chunk.
+    monkeypatch.setattr(data, "CHUNK_WORDS", 2 * (
+        data._tracklet_words(SMALL, VISIBLE)
+        + data._tracklet_words(SMALL, INFRARED)))
     rendered = []
-    real_render = data._render_tracklet
+    real_render = data._render_chunk
 
     def render(*args):
         rendered.append(args[0])
@@ -255,13 +300,95 @@ def test_regeneration_cut_short_keeps_the_old_container(tmp_path,
             raise OSError("killed mid-generation")
         return real_render(*args)
 
-    monkeypatch.setattr(data, "_render_tracklet", render)
+    monkeypatch.setattr(data, "_render_chunk", render)
     with pytest.raises(OSError, match="killed"):
         generate(SMALL, 2, root)
-    assert len(rendered) == 3
+    assert [len(chunk) for chunk in rendered] == [4, 4, 4]
     assert [p.name for p in root.iterdir()] == ["frames.vldt"]
     assert (root / "frames.vldt").read_bytes() == blob
     assert load_dataset(root).tracklets == old.tracklets
+
+
+# Ten tracklets, visible and infrared in turn.
+ALTERNATING = SyntheticSpec(num_train_identities=3, num_test_identities=2,
+                            tracklets_per_identity=1, frames=3, image_h=16,
+                            image_w=8)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_container_bytes_do_not_depend_on_chunks_or_cpus(tmp_path,
+                                                         monkeypatch, cpus):
+    """Chunks of 3, 3, 3 and 1 tracklets, the full ones holding both
+    modalities, rendered by the caller alone or shared with the helper
+    thread: the container equals the one-chunk, one-CPU container byte
+    for byte, and generate leaves no thread behind."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want = generate(ALTERNATING, 4, tmp_path / "want").reader.path.read_bytes()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(data, "CHUNK_WORDS", 2 * data._tracklet_words(
+        ALTERNATING, VISIBLE) + data._tracklet_words(ALTERNATING, INFRARED))
+    chunks, threads = [], set()
+    real_render = data._render_chunk
+
+    def render(tracklets, *args):
+        chunks.append({t.modality for t in tracklets})
+        threads.add(threading.get_ident())
+        return real_render(tracklets, *args)
+
+    monkeypatch.setattr(data, "_render_chunk", render)
+    before = threading.active_count()
+    got = generate(ALTERNATING, 4, tmp_path / "got")
+    assert threading.active_count() == before
+    assert len(chunks) == 4 and chunks.count({VISIBLE, INFRARED}) >= 3
+    assert len(threads) == len(cpus)
+    assert got.reader.path.read_bytes() == want
+
+
+def test_helper_thread_error_reaches_the_caller_and_writes_nothing(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(data, "CHUNK_WORDS", 1)   # a tracklet per chunk
+    caller = threading.get_ident()
+    real_render = data._render_chunk
+
+    def render(*args):
+        if threading.get_ident() != caller:
+            raise DataError("helper chunk failed")
+        return real_render(*args)
+
+    monkeypatch.setattr(data, "_render_chunk", render)
+    before = threading.active_count()
+    root = tmp_path / "d"
+    with pytest.raises(DataError, match="helper chunk failed"):
+        generate(ALTERNATING, 4, root)
+    assert threading.active_count() == before
+    assert list(root.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_generation_memory_does_not_grow_with_the_tracklets(tmp_path,
+                                                            monkeypatch,
+                                                            cpus):
+    """Four times the desk's tracklets, at its geometry and identities:
+    generate's traced peak grows by less than a quarter of the frames
+    added (each tracklet's manifest row, record name and index entry
+    stay), where keeping the frames would grow it by all of them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    desk = load_config(Path(__file__).parent.parent / "configs" / "desk.cfg") \
+        .synthetic_spec()
+    peaks, frame_bytes = [], []
+    for per_identity in (4, 16):
+        spec = dataclasses.replace(desk, tracklets_per_identity=per_identity)
+        tracemalloc.start()
+        try:
+            ds = generate(spec, 1, tmp_path / str(per_identity))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        frame_bytes.append(len(ds.tracklets) * spec.frames * spec.image_h
+                           * spec.image_w * 3)
+    assert frame_bytes[1] - frame_bytes[0] > peaks[0]
+    assert peaks[1] - peaks[0] < (frame_bytes[1] - frame_bytes[0]) / 4
 
 
 @pytest.mark.parametrize("record", ["manifest", "num_train_identities"])

@@ -28,8 +28,6 @@ def test_bank_shapes_default_and_minimal():
 
 def test_bank_preconditions():
     with pytest.raises(ConfigError):
-        PromptBank(1, 4, 4, 8, Rng(0))
-    with pytest.raises(ConfigError):
         PromptBank(4, 0, 4, 8, Rng(0))
     with pytest.raises(ConfigError):
         PromptBank(4, 4, 99, 8, Rng(0))
