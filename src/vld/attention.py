@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
 from .rng import Rng
 from .tensor import Tensor, attention
 
@@ -26,8 +25,6 @@ class AttentionWeights:
     @classmethod
     def create(cls, dim: int, heads: int, rng: Rng,
                trainable: bool = True) -> "AttentionWeights":
-        if dim % heads != 0:
-            raise ConfigError(f"dim {dim} not divisible by {heads} heads")
         std = dim ** -0.5
 
         def w():

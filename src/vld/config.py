@@ -15,7 +15,7 @@ from .data import BatchPlan, SyntheticSpec
 from .encoder import EncoderConfig
 from .errors import ConfigError
 from .losses import LossWeights
-from .prompts import TEMPLATES, FrozenTextEncoder
+from .prompts import FrozenTextEncoder
 
 _BOOL = {"true": True, "false": False}
 
@@ -40,13 +40,10 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "stp.enabled": ("bool", True),
     "stp.insertion_layer": ("int", 1),
     "imlp.enabled": ("bool", True),
-    "imlp.tokens": ("int", 4),
-    "imlp.template": ("int", 4),
     "loss.lambda_v2t": ("float", 0.08),
     "loss.lambda_id_hub": ("float", 0.4),
     "loss.lambda_wrt_hub": ("float", 1.0),
     "optim.base_lr": ("float", 0.002),
-    "optim.prompt_lr_multiplier": ("float", 25.0),
     "train.epochs": ("int", 8),
     "train.epoch_passes": ("int", 3),
     "train.batch_identities": ("int", 4),
@@ -61,9 +58,10 @@ _MINIMUMS: dict[str, int] = {
     **dict.fromkeys((
         "data.train_identities", "data.test_identities",
         "data.tracklets_per_identity", "data.frames", "data.image_h",
-        "data.image_w", "encoder.patch", "encoder.dim", "encoder.depth",
-        "encoder.heads", "train.epoch_passes", "train.batch_tracklets",
-        "imlp.tokens"), 1),
+        "data.image_w", "encoder.patch", "encoder.depth", "encoder.heads",
+        "train.epoch_passes", "train.batch_tracklets"), 1),
+    # A layer norm over one feature has zero variance.
+    "encoder.dim": 2,
     # A batch of one identity has no negative for the triplet loss.
     "train.batch_identities": 2,
     "train.epochs": 0,
@@ -134,6 +132,9 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         v = self.values
+        unknown = sorted(set(v) - set(SCHEMA))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
         for key, low in _MINIMUMS.items():
             if v[key] < low:
                 raise ConfigError(f"{key} must be at least {low}, got {v[key]}")
@@ -159,12 +160,21 @@ class RunConfig:
                 f"encoder.dim {v['encoder.dim']} not divisible by the text "
                 f"encoder's {heads} heads (imlp.enabled)"
             )
-        if v["imlp.template"] not in TEMPLATES:
-            raise ConfigError(f"imlp.template must be one of "
-                              f"{sorted(TEMPLATES)}, got {v['imlp.template']}")
         if v["train.precision"] not in ("double", "single"):
             raise ConfigError(f"train.precision must be double or single, "
                               f"got {v['train.precision']!r}")
+        return self
+
+    def validate_for_training(self) -> "RunConfig":
+        """``validate``, and a batch of no more identities than the training
+        split holds (each has both modalities): only training samples one."""
+        self.validate()
+        v = self.values
+        if v["train.batch_identities"] > v["data.train_identities"]:
+            raise ConfigError(
+                f"train.batch_identities {v['train.batch_identities']} "
+                f"exceeds data.train_identities {v['data.train_identities']}"
+            )
         return self
 
 

@@ -1,9 +1,10 @@
 """Identity prompts and the frozen text encoder that turns them into
 classifier prototypes.
 
-Each identity owns M learnable token slots spliced into a fixed template;
-the template's surrounding token embeddings are deterministic draws keyed
-by (template id, position) and are shared, frozen storage. The text
+Each identity owns ``TOKENS`` = 4 learnable token slots spliced into the
+one template, CLIP-ReID's after CoOp: ``PREFIX`` = 1 embedding before the
+slots and ``SUFFIX`` = 9 after them. The template's embeddings are drawn
+from ``Rng(TEMPLATE_SEED)`` and are shared, frozen storage. The text
 encoder itself is a 2-layer transformer fixed by its seed (``TEXT_SEED``
 in training): none of its weights ever enter an optimizer, so prototypes
 stay a pure function of the prompt tokens while its shared weights couple
@@ -19,10 +20,11 @@ from .errors import ConfigError
 from .losses import cross_entropy_from_logits
 from .rng import Rng
 from .tensor import (Tensor, broadcast_to, clamp_max, concat, layer_norm,
-                     matmul, reshape, swap_axes, tsqrt)
+                     matmul, swap_axes, tsqrt)
 
-# template id -> (prefix length, suffix length) around the learnable slots
-TEMPLATES = {1: (0, 2), 2: (1, 2), 3: (1, 8), 4: (1, 9)}
+TOKENS = 4              # learnable slots per identity in training
+PREFIX, SUFFIX = 1, 9   # template embeddings before and after the slots
+TEMPLATE_SEED = 9004
 
 LOGIT_SCALE_INIT = 1.0 / 0.07
 LOGIT_SCALE_MAX = 100.0
@@ -32,40 +34,27 @@ TEXT_SEED = 101    # the seed training draws the frozen text encoder from
 class PromptBank:
     """Per-identity learnable slots plus shared frozen template embeddings."""
 
-    def __init__(self, num_identities: int, slots: int, template_id: int,
-                 dim: int, rng: Rng):
+    def __init__(self, num_identities: int, slots: int, dim: int, rng: Rng):
         if slots < 1:
             raise ConfigError(f"need at least 1 learnable slot, got {slots}")
-        if template_id not in TEMPLATES:
-            raise ConfigError(f"unknown prompt template id {template_id}")
         self.num_identities = num_identities
         self.slots = slots
         self.dim = dim
         self.tokens = Tensor(rng.normal((num_identities, slots, dim), std=0.02),
                              requires_grad=True)
-        prefix_len, suffix_len = TEMPLATES[template_id]
-        template_rng = Rng(9000 + template_id)
-        self.prefix = Tensor(template_rng.normal((prefix_len, dim), std=0.02))
-        self.suffix = Tensor(template_rng.normal((suffix_len, dim), std=0.02))
+        template_rng = Rng(TEMPLATE_SEED)
+        self.prefix = Tensor(template_rng.normal((PREFIX, dim), std=0.02))
+        self.suffix = Tensor(template_rng.normal((SUFFIX, dim), std=0.02))
 
     @property
     def length(self) -> int:
-        return self.prefix.shape[0] + self.slots + self.suffix.shape[0]
+        return PREFIX + self.slots + SUFFIX
 
     def sequences(self) -> Tensor:
         """Token embeddings [N_y, length, D] with template parts broadcast."""
-        n = self.num_identities
-        parts = []
-        if self.prefix.shape[0]:
-            parts.append(broadcast_to(
-                reshape(self.prefix, (1,) + self.prefix.shape),
-                (n,) + self.prefix.shape))
-        parts.append(self.tokens)
-        if self.suffix.shape[0]:
-            parts.append(broadcast_to(
-                reshape(self.suffix, (1,) + self.suffix.shape),
-                (n,) + self.suffix.shape))
-        return concat(parts, axis=1)
+        n, dim = self.num_identities, self.dim
+        return concat([broadcast_to(self.prefix, (n, PREFIX, dim)), self.tokens,
+                       broadcast_to(self.suffix, (n, SUFFIX, dim))], axis=1)
 
     def named_parameters(self):
         yield "imlp/prompts", self.tokens

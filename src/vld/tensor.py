@@ -516,9 +516,6 @@ def layer_norm(x, gain, bias) -> Tensor:
     recomputes the normalized input from the input its parent holds.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    dim = x.data.shape[-1]
-    if dim < 2:
-        raise ConfigError(f"layer_norm needs a feature axis of at least 2, got {dim}")
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)

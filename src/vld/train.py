@@ -35,7 +35,7 @@ from .hub import VideoModel
 from .losses import (IdentityHead, identity_cross_entropy, total_loss,
                      weighted_regularized_triplet)
 from .optim import Adam, cosine_lr
-from .prompts import (TEXT_SEED, FrozenTextEncoder, PromptBank,
+from .prompts import (TEXT_SEED, TOKENS, FrozenTextEncoder, PromptBank,
                       make_logit_scale, visual_text_loss)
 from .retrieval import evaluate, extract_features, save_report
 from .rng import Rng
@@ -63,8 +63,7 @@ class TrainingHeads:
         self.text_encoder: FrozenTextEncoder | None = None
         self.logit_scale: Tensor | None = None
         if cfg["imlp.enabled"]:
-            self.prompts = PromptBank(num_train_identities, cfg["imlp.tokens"],
-                                      cfg["imlp.template"], dim,
+            self.prompts = PromptBank(num_train_identities, TOKENS, dim,
                                       rng.split("prompts"))
             self.text_encoder = FrozenTextEncoder(dim, self.prompts.length,
                                                   TEXT_SEED)
@@ -79,8 +78,13 @@ class TrainingHeads:
             yield "imlp/logit_scale", self.logit_scale
 
 
+PROMPT_LR_MULTIPLIER = 25.0
+
+
 def build_optimizer(cfg: RunConfig, model: VideoModel,
                     heads: TrainingHeads) -> Adam:
+    """Adam, with the prompt tokens at ``PROMPT_LR_MULTIPLIER`` times the
+    step's rate. ``cfg`` is not read; callers pass it."""
     base_params = list(model.named_parameters())
     prompt_params = []
     for name, param in heads.named_parameters():
@@ -90,7 +94,7 @@ def build_optimizer(cfg: RunConfig, model: VideoModel,
             base_params.append((name, param))
     groups = {"": (base_params, 1.0)}
     if prompt_params:
-        groups["prompt"] = (prompt_params, cfg["optim.prompt_lr_multiplier"])
+        groups["prompt"] = (prompt_params, PROMPT_LR_MULTIPLIER)
     return Adam(groups)
 
 
@@ -211,7 +215,9 @@ def configured_precision(cfg: RunConfig):
 
 def train(cfg: RunConfig, out_dir, log=None) -> dict:
     """Run the configured training, in the configured precision; returns a
-    summary of losses and metrics."""
+    summary of losses and metrics. The config is checked before anything
+    is written."""
+    cfg.validate_for_training()
     with configured_precision(cfg):
         return _run(cfg, out_dir, log)
 

@@ -281,7 +281,7 @@ def test_criterion_6_mechanism_invariants():
     assert cross_grad(hub) > 0.0
 
     # (d) frozen text encoder receives zero gradient.
-    bank = PromptBank(3, 2, 4, 8, rng.split("prompts"))
+    bank = PromptBank(3, 2, 8, rng.split("prompts"))
     text_enc = FrozenTextEncoder(8, bank.length, seed=17)
     protos = text_enc.encode(bank)
     (protos * Tensor(Rng(603).normal(protos.shape))).sum().backward()

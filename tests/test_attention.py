@@ -16,8 +16,10 @@ def make_weights(dim=8, heads=2, seed=3):
 
 
 def test_heads_must_divide_dim():
-    with pytest.raises(ConfigError):
-        AttentionWeights.create(10, 3, Rng(0))
+    w = AttentionWeights.create(10, 3, Rng(0))
+    x = Tensor(Rng(1).normal((4, 10)))
+    with pytest.raises(ConfigError, match="not divisible by 3 heads"):
+        multi_head_attention(x, x, x, w)
 
 
 def test_single_key_ignores_query():

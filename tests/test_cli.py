@@ -229,6 +229,41 @@ def test_one_identity_batches_checked_before_anything_is_written(tmp_path,
     assert not (tmp_path / "run").exists()
 
 
+def test_batch_larger_than_the_training_split_checked_before_anything_is_written(
+        tmp_path, capsys):
+    """Every training identity has both modalities, so a batch can hold at
+    most all of them; a larger one stops the run before it writes a
+    dataset or any run file."""
+    path = tmp_path / "wide.cfg"
+    path.write_text(TINY_TEXT.replace("data.train_identities = 4",
+                                      "data.train_identities = 2")
+                    .replace("train.batch_identities = 2",
+                             "train.batch_identities = 3")
+                    + f"data.root = {tmp_path / 'data'}\n")
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "train.batch_identities" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "run").exists()
+
+
+def test_one_feature_encoder_checked_before_anything_is_written(tmp_path,
+                                                                 capsys):
+    """A layer norm over one feature has zero variance: encoder.dim = 1
+    stops the run before it writes a dataset or any run file, also with
+    one head and no prompts, which would otherwise allow it."""
+    path = tmp_path / "thin.cfg"
+    path.write_text(TINY_TEXT.replace("encoder.dim = 16", "encoder.dim = 1")
+                    .replace("encoder.heads = 2", "encoder.heads = 1")
+                    + "imlp.enabled = false\n"
+                    + f"data.root = {tmp_path / 'data'}\n")
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "encoder.dim" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "run").exists()
+
+
 def test_prompts_for_one_identity_checked_before_anything_is_written(
         tmp_path, capsys):
     """IMLP's prompt classifier needs two training identities; with one,

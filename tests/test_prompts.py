@@ -13,8 +13,8 @@ from vld.rng import Rng
 from vld.tensor import Tensor
 
 
-def make_pair(num_ids=4, slots=4, dim=16, template=4, text_seed=101, seed=5):
-    bank = PromptBank(num_ids, slots, template, dim, Rng(seed).split("prompts"))
+def make_pair(num_ids=4, slots=4, dim=16, text_seed=101, seed=5):
+    bank = PromptBank(num_ids, slots, dim, Rng(seed).split("prompts"))
     enc = FrozenTextEncoder(dim, bank.length, text_seed)
     return bank, enc
 
@@ -22,30 +22,24 @@ def make_pair(num_ids=4, slots=4, dim=16, template=4, text_seed=101, seed=5):
 def test_bank_shapes_default_and_minimal():
     bank, _ = make_pair(num_ids=20, slots=4, dim=16)
     assert bank.tokens.shape == (20, 4, 16)
-    minimal = PromptBank(2, 1, 1, 8, Rng(1))
+    assert bank.length == 1 + 4 + 9
+    minimal = PromptBank(2, 1, 8, Rng(1))
     assert minimal.tokens.shape == (2, 1, 8)
+    assert minimal.length == 1 + 1 + 9
 
 
 def test_bank_preconditions():
     with pytest.raises(ConfigError):
-        PromptBank(4, 0, 4, 8, Rng(0))
-    with pytest.raises(ConfigError):
-        PromptBank(4, 4, 99, 8, Rng(0))
+        PromptBank(4, 0, 8, Rng(0))
 
 
 def test_template_embeddings_are_shared_frozen_storage():
-    a = PromptBank(3, 4, 4, 8, Rng(1))
-    b = PromptBank(3, 4, 4, 8, Rng(2))
+    a = PromptBank(3, 4, 8, Rng(1))
+    b = PromptBank(3, 4, 8, Rng(2))
     np.testing.assert_array_equal(a.prefix.data, b.prefix.data)
     np.testing.assert_array_equal(a.suffix.data, b.suffix.data)
     assert not a.prefix.requires_grad and not a.suffix.requires_grad
     assert (a.tokens.data != b.tokens.data).any()
-
-
-def test_templates_differ_by_id():
-    a = PromptBank(3, 4, 1, 8, Rng(1))
-    b = PromptBank(3, 4, 2, 8, Rng(1))
-    assert a.length != b.length or (a.suffix.data != b.suffix.data).any()
 
 
 def test_identical_slots_give_identical_prototypes():

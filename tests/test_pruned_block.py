@@ -141,7 +141,7 @@ def test_encode_of_cls_alone_matches_full_rows(with_hub):
 
 
 def test_text_encoder_matches_full_rows():
-    bank = PromptBank(4, 4, 4, 16, Rng(914))
+    bank = PromptBank(4, 4, 16, Rng(914))
     enc = FrozenTextEncoder(16, bank.length, seed=5)
     x = bank.sequences() + enc.pos
     for block in enc.blocks:

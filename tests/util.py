@@ -7,7 +7,7 @@ from vld.rng import Rng
 from vld.train import build_state, compute_losses
 
 # Smallest config that exercises every mechanism: hub active in both layers,
-# prompts with prefix+suffix template, two identities in both modalities.
+# prompts, two identities in both modalities.
 E2E_TEXT = """
 data.train_identities = 2
 data.test_identities = 2
@@ -20,8 +20,6 @@ encoder.dim = 8
 encoder.depth = 2
 encoder.heads = 2
 stp.insertion_layer = 0
-imlp.tokens = 2
-imlp.template = 2
 """
 
 
