@@ -2,9 +2,8 @@
 
 Subcommands: gen-data, train, eval, profile. Exit codes: 0 success,
 2 configuration errors, 3 data errors, 4 numeric divergence, 5 parse
-errors, 1 anything else. ``gen-data --seed`` and ``train --seed``
-override the configured seed; ``eval`` has no seed to override, since the
-checkpoint sets every parameter.
+errors, 1 anything else. ``train.seed`` in the config is the one seed;
+``eval`` reads none, since the checkpoint sets every parameter.
 """
 
 from __future__ import annotations
@@ -33,10 +32,7 @@ EXIT_CODES = {ConfigError: 2, DataError: 3, DivergenceError: 4, ParseError: 5}
 
 
 def _load(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else default_config()
-    if getattr(args, "seed", None) is not None:
-        cfg.values["train.seed"] = args.seed
-    return cfg.validate()
+    return load_config(args.config) if args.config else default_config()
 
 
 def cmd_gen_data(args) -> int:
@@ -110,13 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate the synthetic dataset")
     p.add_argument("--config", help="run config file")
     p.add_argument("--root", help="output directory (default: data.root)")
-    p.add_argument("--seed", type=int, help="override train.seed")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model end to end")
     p.add_argument("--config", help="run config file")
     p.add_argument("--out", help="run directory (default: runs/<time>-seed<n>)")
-    p.add_argument("--seed", type=int, help="override train.seed")
     p.add_argument("--verbose", action="store_true", help="echo metrics lines")
     p.set_defaults(func=cmd_train)
 

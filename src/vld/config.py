@@ -1,14 +1,18 @@
 """Flat "section.key = value" run configuration.
 
-Every known key has a typed default below; unknown keys are rejected so
-typos fail loudly. Each run writes its resolved configuration next to its
-outputs in the same format.
+``SCHEMA`` holds one row per key: its kind, its default and, for a size,
+its lower bound. ``validate`` checks every value against its row, then the
+checks that span keys; unknown keys are rejected so typos fail loudly.
+Each run writes its resolved configuration next to its outputs in the
+same format.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import checkpoint
 from .data import BatchPlan, SyntheticSpec
@@ -19,71 +23,55 @@ from .prompts import FrozenTextEncoder
 
 _BOOL = {"true": True, "false": False}
 
-# key -> (type tag, default)
-SCHEMA: dict[str, tuple[str, object]] = {
-    "data.root": ("str", "data/desk"),
-    "data.train_identities": ("int", 20),
-    "data.test_identities": ("int", 10),
-    "data.tracklets_per_identity": ("int", 2),
-    "data.frames": ("int", 4),
-    "data.image_h": ("int", 32),
-    "data.image_w": ("int", 16),
-    "data.pattern_amp": ("float", 0.2),
-    "data.stripe_amp": ("float", 0.2),
-    "data.occlusion": ("float", 0.25),
-    "data.augment": ("bool", True),
-    "data.pad": ("int", 10),
-    "encoder.patch": ("int", 8),
-    "encoder.dim": ("int", 64),
-    "encoder.depth": ("int", 4),
-    "encoder.heads": ("int", 4),
-    "stp.enabled": ("bool", True),
-    "stp.insertion_layer": ("int", 1),
-    "imlp.enabled": ("bool", True),
-    "loss.lambda_v2t": ("float", 0.08),
-    "loss.lambda_id_hub": ("float", 0.4),
-    "loss.lambda_wrt_hub": ("float", 1.0),
-    "optim.base_lr": ("float", 0.002),
-    "train.epochs": ("int", 8),
-    "train.epoch_passes": ("int", 3),
-    "train.batch_identities": ("int", 4),
-    "train.batch_tracklets": ("int", 2),
-    "train.seed": ("int", 1),
-    "train.precision": ("str", "single"),
-    "eval.use_hub_feature": ("bool", False),
-}
 
-# The smallest value of each size a run divides by, loops over or pads by.
-_MINIMUMS: dict[str, int] = {
-    **dict.fromkeys((
-        "data.train_identities", "data.test_identities",
-        "data.tracklets_per_identity", "data.frames", "data.image_h",
-        "data.image_w", "encoder.patch", "encoder.depth", "encoder.heads",
-        "train.epoch_passes", "train.batch_tracklets"), 1),
+class Setting(NamedTuple):
+    kind: type
+    default: object
+    # The smallest value of a size a run divides by, loops over or pads by.
+    minimum: int | None = None
+
+
+SCHEMA: dict[str, Setting] = {
+    "data.root": Setting(str, "data/desk"),
+    "data.train_identities": Setting(int, 20, 1),
+    "data.test_identities": Setting(int, 10, 1),
+    "data.tracklets_per_identity": Setting(int, 2, 1),
+    "data.frames": Setting(int, 4, 1),
+    "data.image_h": Setting(int, 32, 1),
+    "data.image_w": Setting(int, 16, 1),
+    "data.pattern_amp": Setting(float, 0.2),
+    "data.stripe_amp": Setting(float, 0.2),
+    "data.occlusion": Setting(float, 0.25),
+    "data.augment": Setting(bool, True),
+    "data.pad": Setting(int, 10, 0),
+    "encoder.patch": Setting(int, 8, 1),
     # A layer norm over one feature has zero variance.
-    "encoder.dim": 2,
+    "encoder.dim": Setting(int, 64, 2),
+    "encoder.depth": Setting(int, 4, 1),
+    "encoder.heads": Setting(int, 4, 1),
+    "stp.enabled": Setting(bool, True),
+    "stp.insertion_layer": Setting(int, 1),
+    "imlp.enabled": Setting(bool, True),
+    "optim.base_lr": Setting(float, 0.002),
+    "train.epochs": Setting(int, 8, 0),
+    "train.epoch_passes": Setting(int, 3, 1),
     # A batch of one identity has no negative for the triplet loss.
-    "train.batch_identities": 2,
-    "train.epochs": 0,
-    "data.pad": 0,
+    "train.batch_identities": Setting(int, 4, 2),
+    "train.batch_tracklets": Setting(int, 2, 1),
+    "train.seed": Setting(int, 1),
+    "train.precision": Setting(str, "single"),
+    "eval.use_hub_feature": Setting(bool, False),
 }
 
 
 def _parse_value(key: str, raw: str):
-    kind, _ = SCHEMA[key]
+    kind = SCHEMA[key].kind
     raw = raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if raw.lower() not in _BOOL:
-                raise ValueError
-            return _BOOL[raw.lower()]
-        return raw
-    except ValueError:
-        raise ConfigError(f"bad value for {key}: {raw!r} (expected {kind})") from None
+        return _BOOL[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"bad value for {key}: {raw!r} "
+                          f"(expected {kind.__name__})") from None
 
 
 def _format_value(value) -> str:
@@ -126,18 +114,25 @@ class RunConfig:
                          tracklets_per_identity=self.values["train.batch_tracklets"])
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(lambda_v2t=self.values["loss.lambda_v2t"],
-                           lambda_id_hub=self.values["loss.lambda_id_hub"],
-                           lambda_wrt_hub=self.values["loss.lambda_wrt_hub"])
+        """The objective's fixed weights; no key sets them."""
+        return LossWeights()
 
     def validate(self) -> "RunConfig":
         v = self.values
         unknown = sorted(set(v) - set(SCHEMA))
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}")
-        for key, low in _MINIMUMS.items():
-            if v[key] < low:
-                raise ConfigError(f"{key} must be at least {low}, got {v[key]}")
+        for key, (kind, _, low) in SCHEMA.items():
+            value = v.get(key)
+            # A bool is an int to isinstance, and resolved.cfg cannot hold
+            # a value of another kind, so the type must match exactly.
+            if type(value) is not kind:
+                raise ConfigError(f"{key} must be {kind.__name__}, "
+                                  f"got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+            if low is not None and value < low:
+                raise ConfigError(f"{key} must be at least {low}, got {value}")
         self.encoder_config()
         if not 0 <= v["stp.insertion_layer"] < v["encoder.depth"]:
             raise ConfigError(
@@ -179,7 +174,7 @@ class RunConfig:
 
 
 def default_config() -> RunConfig:
-    return RunConfig({key: default for key, (_, default) in SCHEMA.items()})
+    return RunConfig({key: row.default for key, row in SCHEMA.items()})
 
 
 def parse_config(text: str) -> RunConfig:

@@ -1,6 +1,10 @@
 """Identity cross-entropy, weighted regularized triplet, and the total
 training objective.
 
+The objective's weights are fixed (``LossWeights``): 1 on both [CLS] terms,
+0.08 on the visual-text term, 0.4 on the hub's identity term and 1.0 on
+the hub's triplet term; no config key sets them.
+
 The triplet term follows the soft-margin form used throughout the re-id
 literature: per anchor, positive distances are softmax-weighted by +d and
 negative distances by -d, and the loss is softplus of the weighted gap.

@@ -27,9 +27,9 @@ class Adam:
 
     ``groups`` maps a group name to (params, lr_multiplier) where params is
     a list of (name, Tensor). ``step(lr)`` takes the base rate from the
-    caller's schedule and moves each group at its multiple of it; the prompt
-    learner group runs at 25x the base rate in the default training
-    configuration.
+    caller's schedule and moves each group at its multiple of it; training
+    runs the prompt learner group at ``vld.train.PROMPT_LR_MULTIPLIER``
+    times the base rate.
     """
 
     def __init__(self, groups: dict):

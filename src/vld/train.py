@@ -129,9 +129,14 @@ def checkpoint_records(state: TrainState) -> dict:
 
 def load_into(state: TrainState, path) -> None:
     records = checkpoint.load(path)
-    for name, param in all_parameters(state):
-        if name not in records:
-            raise ConfigError(f"checkpoint missing parameter {name}")
+    params = dict(all_parameters(state))
+    if records.keys() != params.keys():
+        raise ConfigError(
+            f"checkpoint does not fit the configured model: parameters "
+            f"without a record {sorted(params.keys() - records.keys())}, "
+            f"records without a parameter "
+            f"{sorted(records.keys() - params.keys())}")
+    for name, param in params.items():
         if records[name].shape != param.data.shape:
             raise ConfigError(
                 f"checkpoint parameter {name} has shape {records[name].shape}, "
@@ -143,7 +148,8 @@ def load_into(state: TrainState, path) -> None:
 def compute_losses(cfg: RunConfig, model: VideoModel, heads: TrainingHeads,
                    frames: np.ndarray, labels: np.ndarray) -> dict:
     """Forward one mixed-modality batch and return the weighted ``"total"``
-    followed by the five named loss parts (None for a disabled branch)."""
+    followed by the five named loss parts (None for a disabled branch).
+    ``cfg`` is not read; callers pass it."""
     seq, hub_seq = model.forward(frames)
     parts = {
         "id_cls": identity_cross_entropy(seq, labels, heads.id_head_cls),
@@ -160,7 +166,7 @@ def compute_losses(cfg: RunConfig, model: VideoModel, heads: TrainingHeads,
         parts["id_hub"] = identity_cross_entropy(hub_seq, labels,
                                                  heads.id_head_hub)
         parts["wrt_hub"] = weighted_regularized_triplet(hub_seq, labels)
-    return {"total": total_loss(**parts, weights=cfg.loss_weights()), **parts}
+    return {"total": total_loss(**parts), **parts}
 
 
 def train_step(cfg: RunConfig, state: TrainState, dataset: Dataset,

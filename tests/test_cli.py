@@ -139,10 +139,46 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense.key = 1\n")
     assert main(["train", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
-    # eval takes no --seed: the checkpoint sets every parameter a seed draws.
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "--checkpoint", str(tmp_path / "x.vldt"), "--seed", "3"])
-    assert exc.value.code == 2
+    # No command takes --seed: train.seed is the one spelling, and in eval
+    # the checkpoint sets every parameter a seed draws.
+    for argv in (["gen-data"], ["train"],
+                 ["eval", "--checkpoint", str(tmp_path / "x.vldt")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "3"])
+        assert exc.value.code == 2
+
+
+def test_non_finite_learning_rate_checked_before_anything_is_written(
+        tmp_path, capsys):
+    """optim.base_lr = nan would train to NaN checkpoints; the run stops
+    at validation, before it writes a dataset or any run file."""
+    path = tmp_path / "nan.cfg"
+    path.write_text(TINY_TEXT.replace("optim.base_lr = 0.01",
+                                      "optim.base_lr = nan")
+                    + f"data.root = {tmp_path / 'data'}\n")
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "optim.base_lr" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_rejects_a_checkpoint_of_another_model(tiny_cfg, tmp_path,
+                                                    capsys):
+    """A checkpoint of an STP run names the hub and its readout; a config
+    with stp.enabled = false builds neither, and evaluating it would rank
+    an untrained model, so eval stops before it writes anything."""
+    main(["gen-data", "--config", str(tiny_cfg)])
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_cfg), "--out", str(run)]) == 0
+    off = tmp_path / "off.cfg"
+    off.write_text(tiny_cfg.read_text() + "stp.enabled = false\n")
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", str(off),
+                 "--checkpoint", str(run / "final.vldt"),
+                 "--out", str(out)]) == 2
+    assert "stp/hub" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_data_error_exit_code(tiny_cfg, tmp_path):

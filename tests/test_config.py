@@ -1,8 +1,10 @@
 """Flat config parsing, validation, and round-tripping."""
 
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,17 +14,17 @@ from vld.config import (SCHEMA, RunConfig, default_config, load_config,
                         parse_config, write_config)
 from vld.data import generate, load_dataset
 from vld.errors import ConfigError
+from vld.losses import LossWeights
 from vld.train import (build_state, configured_precision, evaluate_model,
-                       train_step)
+                       train, train_step)
 
 
 def test_defaults_validate():
     cfg = default_config().validate()
     assert cfg["encoder.dim"] == 64
-    assert cfg["loss.lambda_v2t"] == 0.08
-    assert cfg["loss.lambda_id_hub"] == 0.4
-    assert cfg["loss.lambda_wrt_hub"] == 1.0
-    assert len(SCHEMA) == 30
+    assert cfg.loss_weights() == LossWeights(
+        lambda_v2t=0.08, lambda_id_hub=0.4, lambda_wrt_hub=1.0)
+    assert len(SCHEMA) == 27
 
 
 def test_parse_overrides_and_comments():
@@ -56,12 +58,16 @@ def test_unknown_key_rejected_with_line():
     "imlp.tokens = 4",
     "imlp.template = 4",
     "optim.prompt_lr_multiplier = 25.0",
+    "loss.lambda_v2t = 0.08",
+    "loss.lambda_id_hub = 0.4",
+    "loss.lambda_wrt_hub = 1.0",
 ], ids=lambda line: line.partition(" ")[0])
 def test_removed_key_is_an_unknown_key(line):
     """Keys deleted for fixed values (evaluation always ranks both ways;
     noise, MLP width, text seed, Adam's constants, the prompt's tokens and
-    template and its learning-rate multiplier live in code) are rejected
-    like any unknown one, also in an older run's resolved.cfg."""
+    template, its learning-rate multiplier and the loss weights live in
+    code) are rejected like any unknown one, also in an older run's
+    resolved.cfg."""
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config(line + "\n")
 
@@ -82,6 +88,32 @@ def test_bad_value_type_rejected():
 def test_bad_bool_rejected():
     with pytest.raises(ConfigError):
         parse_config("stp.enabled = maybe\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_rejected(value):
+    with pytest.raises(ConfigError, match="data.occlusion"):
+        parse_config(f"data.occlusion = {value}\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("train.epochs", 1.5),
+    ("data.augment", "yes"),
+    ("data.pad", True),
+    ("optim.base_lr", 1),
+], ids=["int-key-float", "bool-key-str", "int-key-bool", "float-key-int"])
+def test_value_of_the_wrong_kind_set_in_code_writes_nothing(key, value,
+                                                           tmp_path):
+    """A value that resolved.cfg could not hold stops the run before it
+    writes a dataset or any run file."""
+    cfg = default_config()
+    cfg.values["data.root"] = str(tmp_path / "data")
+    cfg.values[key] = value
+    with pytest.raises(ConfigError, match=key):
+        cfg.validate_for_training()
+    with pytest.raises(ConfigError, match=key):
+        train(cfg, tmp_path / "run")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_insertion_layer_validated_against_depth():
@@ -173,22 +205,38 @@ def test_sizes_below_their_minimum_are_config_errors(key, value, tmp_path):
     assert not (tmp_path / "data").exists()
 
 
-# Any value of a key's type at tiny geometry, below every minimum too.
+# Any value of a key's kind at tiny geometry, below every minimum too.
 WIDE = {
-    "int": st.integers(-1, 9),
-    "float": st.floats(-1.0, 2.0),
-    "bool": st.booleans(),
+    int: st.integers(-1, 9),
+    float: st.floats(-1.0, 2.0),
+    bool: st.booleans(),
 }
 WIDE_STR = {
     "data.root": st.sampled_from(["data", "nested/data"]),
     "train.precision": st.sampled_from(["single", "double", "half"]),
 }
+# A (key, value) no check may let through: a float key that is not
+# finite, or any key set to a value of another kind (a bool is not an int).
+OTHER_KIND = {
+    kind: st.one_of(*(s for k, s in WIDE.items() if k is not kind),
+                    *([st.just("1")] if kind is not str else []))
+    for kind in (int, float, bool, str)
+}
+WRONG = st.one_of(
+    st.tuples(st.sampled_from(sorted(k for k, row in SCHEMA.items()
+                                     if row.kind is float)),
+              st.sampled_from([math.nan, math.inf, -math.inf])),
+    st.sampled_from(sorted(SCHEMA)).flatmap(
+        lambda key: st.tuples(st.just(key), OTHER_KIND[SCHEMA[key].kind])),
+)
 
 
 @st.composite
 def tiny_configs(draw):
     """Every SCHEMA key: a tiny run that the checks should accept, then up
-    to three keys redrawn from their whole ``WIDE`` range."""
+    to three keys redrawn from their whole ``WIDE`` range, and maybe one
+    set to a ``WRONG`` value. Returns the values and whether one is
+    wrong."""
     patch, depth = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     stp, identities = draw(st.booleans()), draw(st.integers(2, 3))
     values = {
@@ -213,9 +261,6 @@ def tiny_configs(draw):
         "stp.enabled": stp,
         "stp.insertion_layer": draw(st.integers(0, depth - 1)),
         "imlp.enabled": draw(st.booleans()),
-        "loss.lambda_v2t": draw(st.floats(0.0, 1.0)),
-        "loss.lambda_id_hub": draw(st.floats(0.0, 1.0)),
-        "loss.lambda_wrt_hub": draw(st.floats(0.0, 1.0)),
         "optim.base_lr": draw(st.floats(0.0, 0.01)),
         "train.epochs": draw(st.integers(0, 2)),
         "train.epoch_passes": draw(st.integers(1, 2)),
@@ -228,24 +273,32 @@ def tiny_configs(draw):
     assert values.keys() == SCHEMA.keys()
     for key in draw(st.lists(st.sampled_from(sorted(SCHEMA)), max_size=3,
                              unique=True)):
-        kind = SCHEMA[key][0]
-        values[key] = draw(WIDE_STR[key] if kind == "str" else WIDE[kind])
-    return values
+        kind = SCHEMA[key].kind
+        values[key] = draw(WIDE_STR[key] if kind is str else WIDE[kind])
+    wrong = draw(st.integers(0, 3)) == 0
+    if wrong:
+        key, value = draw(WRONG)
+        values[key] = value
+    return values, wrong
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(tiny_configs())
-def test_a_config_is_rejected_by_its_checks_or_runs(values):
+def test_a_config_is_rejected_by_its_checks_or_runs(drawn):
     """The checks are the one owner of what a config can trip: either
     they raise ConfigError, or a dataset, a built state, one training
-    step and the evaluation all run."""
+    step and the evaluation all run, to finite features. A value of the
+    wrong kind or a non-finite float is always rejected."""
+    values, wrong = drawn
     with tempfile.TemporaryDirectory() as tmp:
-        values["data.root"] = str(Path(tmp) / values["data.root"])
+        if type(values["data.root"]) is str:
+            values["data.root"] = str(Path(tmp) / values["data.root"])
         cfg = RunConfig(values)
         try:
             cfg.validate_for_training()
         except ConfigError:
             return
+        assert not wrong
         with configured_precision(cfg):
             root = Path(cfg["data.root"])
             generate(cfg.synthetic_spec(), cfg["train.seed"], root)
@@ -253,4 +306,6 @@ def test_a_config_is_rejected_by_its_checks_or_runs(values):
             state = build_state(cfg, dataset.num_train_identities)
             train_step(cfg, state, dataset, dataset.train,
                        cfg["optim.base_lr"])
-            evaluate_model(cfg, state.model, dataset)
+            _, vis_index, ir_index = evaluate_model(cfg, state.model, dataset)
+        for index in (vis_index, ir_index):
+            assert np.isfinite(index.features).all()
