@@ -22,7 +22,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from . import checkpoint
 from .config import RunConfig, default_config, load_config
-from .data import generate, load_dataset
+from .data import generate
 from .errors import (ConfigError, DataError, DivergenceError, ParseError,
                      VldError)
 from .profiler import cost_report, format_report, report_json
@@ -37,9 +37,8 @@ def _load(args) -> RunConfig:
 
 def cmd_gen_data(args) -> int:
     cfg = _load(args)
-    root = Path(args.root or cfg["data.root"])
-    generate(cfg.synthetic_spec(), cfg["train.seed"], root)
-    print(f"dataset written to {root}")
+    generate(cfg.synthetic_spec(), cfg["train.seed"], cfg["data.root"])
+    print(f"dataset written to {cfg['data.root']}")
     return 0
 
 
@@ -56,10 +55,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .train import (build_state, configured_precision, evaluate_model,
-                        load_into)
+    from .train import (build_state, configured_dataset,
+                        configured_precision, evaluate_model, load_into)
     cfg = _load(args)
-    dataset = load_dataset(args.data or cfg["data.root"])
+    dataset = configured_dataset(cfg)
     with configured_precision(cfg):
         state = build_state(cfg, dataset.num_train_identities)
         load_into(state, args.checkpoint)
@@ -105,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate the synthetic dataset")
     p.add_argument("--config", help="run config file")
-    p.add_argument("--root", help="output directory (default: data.root)")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model end to end")
@@ -117,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--config", help="run config file")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", help="dataset root (default: data.root)")
     p.add_argument("--out", help="report directory (default: cwd)")
     p.set_defaults(func=cmd_eval)
 

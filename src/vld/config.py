@@ -179,6 +179,7 @@ def default_config() -> RunConfig:
 
 def parse_config(text: str) -> RunConfig:
     cfg = default_config()
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -190,6 +191,9 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key} repeats line {seen[key]}")
+        seen[key] = lineno
         cfg.values[key] = _parse_value(key, raw)
     return cfg.validate()
 

@@ -15,14 +15,15 @@ the package format (``vld.checkpoint``) with these records in order:
 
 - one uint8 record of shape [T, H, W, 3] per tracklet, named ``tr<id>``
   after its five-digit zero-padded tracklet id, in tracklet order;
-- ``manifest``, int64 [n, 5]: one row per tracklet (tracklet id, identity,
-  modality code, camera, frame count), modality 0 visible and 1 infrared;
-- ``num_train_identities``, int64 0-d: identities below it train, the rest
-  test, and a split that leaves either side without a manifest identity
-  does not load.
+- ``spec_sizes``, int64 [6], and ``spec_amps``, float64 [3]: the
+  ``SyntheticSpec`` that generated the frames, its fields in declaration
+  order.
 
-The manifest and split come last, so a container cut short anywhere
-lacks them and does not load. ``generate`` renders the tracklets in
+The rest is derived from the spec: ``tracklet_table`` lists the
+tracklets, and identities below ``num_train_identities`` train. The spec
+comes last, so a container cut short anywhere does not load. The seed is
+not stored: runs that share a root share its frames, drawn from the seed
+of whichever run generated them. ``generate`` renders the tracklets in
 chunks, on up to two threads, and streams each chunk's records as it is
 done; a tracklet's bytes do not depend on its chunk or thread.
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,11 +48,9 @@ from .rng import Rng, box_muller, unit_interval
 
 VISIBLE = "visible"
 INFRARED = "infrared"
-MODALITIES = (VISIBLE, INFRARED)   # indexed by the manifest's modality code
+MODALITIES = (VISIBLE, INFRARED)
 FRAMES_FILE = "frames.vldt"
 
-_VIS_CAMERAS = (0, 1)
-_IR_CAMERAS = (2, 3)
 _GOLDEN = 0.618033988749895
 NOISE_VISIBLE = 0.03
 NOISE_INFRARED = 0.05
@@ -87,8 +86,6 @@ class Tracklet:
     tracklet_id: int
     identity: int
     modality: str
-    camera: int
-    frame_count: int
 
     @property
     def record(self) -> str:
@@ -96,13 +93,25 @@ class Tracklet:
         return f"tr{self.tracklet_id:05d}"
 
 
+def tracklet_table(spec: SyntheticSpec) -> list[Tracklet]:
+    """The spec's tracklets in id order: identity-major, then visible
+    before infrared, ``tracklets_per_identity`` of each."""
+    rows = itertools.product(range(spec.num_identities), MODALITIES,
+                             range(spec.tracklets_per_identity))
+    return [Tracklet(i, *row[:2]) for i, row in enumerate(rows)]
+
+
 @dataclass
 class Dataset:
-    """Tracklets, split and the open container their frames are read
-    from; no frames are kept, so frame memory is what callers hold."""
+    """The spec, its tracklets and the open container their frames are
+    read from; no frames are kept, so frame memory is what callers hold."""
     reader: checkpoint.Reader     # the dataset's open ``frames.vldt``
-    tracklets: list[Tracklet]
-    num_train_identities: int
+    spec: SyntheticSpec
+    tracklets: list[Tracklet]     # ``tracklet_table(spec)``
+
+    @property
+    def num_train_identities(self) -> int:
+        return self.spec.num_train_identities
 
     @property
     def train(self) -> list[Tracklet]:
@@ -115,17 +124,6 @@ class Dataset:
     def load_frames(self, tracklet: Tracklet) -> np.ndarray:
         """The tracklet's stored uint8 frames [T, H, W, 3], read from the
         container on every call into a fresh array the caller owns."""
-        entry = self.reader.records.get(tracklet.record)
-        if entry is None:
-            raise DataError(f"{self.reader.path}: no record {tracklet.record} "
-                            f"for tracklet {tracklet.tracklet_id}")
-        dt, shape, _ = entry
-        if (dt != np.uint8 or len(shape) != 4
-                or shape[0] != tracklet.frame_count or shape[3] != 3):
-            raise DataError(
-                f"{self.reader.path}: tracklet {tracklet.tracklet_id} holds "
-                f"{dt} frames of shape {shape}, expected uint8 of shape "
-                f"({tracklet.frame_count}, H, W, 3)")
         return self.reader.read(tracklet.record)
 
 
@@ -293,39 +291,36 @@ def _render_modality(identities: np.ndarray, modality: str,
                                                 (n, frames, h, w, 3)))
 
 
-def generate(spec: SyntheticSpec, seed: int, root) -> Dataset:
-    """Write a deterministic dataset; train/test identities are disjoint.
+SPEC_RECORDS = {"spec_sizes": (np.int64, 6), "spec_amps": (np.float64, 3)}
+
+
+def generate(spec: SyntheticSpec, seed: int, root) -> None:
+    """Write a deterministic dataset for ``load_dataset``; train/test
+    identities are disjoint.
 
     Tracklets are rendered in chunks of about ``CHUNK_WORDS`` drawn
     words and streamed into ``frames.vldt`` in tracklet order, then the
-    manifest and split. When the process may run on more than one CPU,
-    the calling thread renders the even chunks and one helper thread, at
-    most one chunk ahead and joined before return, the odd ones, so
-    memory holds about two chunks, not the dataset. A tracklet's bytes
-    do not depend on its chunk or thread. The container is written
-    atomically, so a generation cut short, or a raise in either thread,
-    leaves the old dataset, or none."""
-    if spec.num_identities < 2:
-        raise ConfigError("need at least 2 identities")
-    root = Path(root)
+    spec. When the process may run on more than one CPU, the calling
+    thread renders the even chunks and one helper thread, at most one
+    chunk ahead and joined before return, the odd ones, so memory holds
+    about two chunks, not the dataset. A tracklet's bytes do not depend
+    on its chunk or thread. The container is written atomically, so a
+    generation cut short, or a raise in either thread, leaves the old
+    dataset, or none."""
+    fields = iter(astuple(spec))
+    spec_records = {name: np.array(list(itertools.islice(fields, n)), dt)
+                    for name, (dt, n) in SPEC_RECORDS.items()}
+    if spec_records["spec_sizes"].min() < 1:
+        raise ConfigError(f"every size must be at least 1 in {spec}")
     rng = Rng(seed).split("data-synth")
     latents = _latents(spec, rng)
-    rows, tags = [], []
-    for identity in range(spec.num_identities):
-        for modality in MODALITIES:
-            cameras = _VIS_CAMERAS if modality == VISIBLE else _IR_CAMERAS
-            for k in range(spec.tracklets_per_identity):
-                rows.append(Tracklet(len(rows), identity, modality,
-                                     cameras[k % len(cameras)], spec.frames))
-                tags.append(f"tr{identity}/{modality}/{k}")
-    manifest = np.array([(r.tracklet_id, r.identity,
-                          MODALITIES.index(r.modality), r.camera,
-                          r.frame_count) for r in rows], dtype=np.int64)
-
+    rows = tracklet_table(spec)
     chunks = _chunks(spec, rows)
 
     def render(chunk: slice) -> list:
-        streams = [rng.split(tag) for tag in tags[chunk]]
+        streams = [rng.split(f"tr{row.identity}/{row.modality}/"
+                             f"{row.tracklet_id % spec.tracklets_per_identity}")
+                   for row in rows[chunk]]
         return list(zip((row.record for row in rows[chunk]), _render_chunk(
             rows[chunk], streams, spec, latents)))
 
@@ -344,52 +339,44 @@ def generate(spec: SyntheticSpec, seed: int, root) -> Dataset:
                 yield from odd.result() if odd else render(pair[1])
 
     try:
-        checkpoint.save(root / FRAMES_FILE, itertools.chain(records(), [
-            ("manifest", manifest),
-            ("num_train_identities",
-             np.array(spec.num_train_identities, dtype=np.int64))]))
+        checkpoint.save(Path(root) / FRAMES_FILE,
+                        itertools.chain(records(), spec_records.items()))
     finally:
         helper.shutdown(cancel_futures=True)
-    return Dataset(checkpoint.Reader(root / FRAMES_FILE), rows,
-                   spec.num_train_identities)
-
-
-def _int64_record(reader: checkpoint.Reader, name: str,
-                  shape: tuple) -> np.ndarray:
-    """The named int64 record; its shape must match ``shape`` but for
-    the first extent."""
-    if name not in reader.records:
-        raise DataError(f"{reader.path} has no {name} record, so it is not "
-                        f"a whole dataset; re-run `vld gen-data` to write it")
-    dt, got, _ = reader.records[name]
-    if dt != np.int64 or len(got) != len(shape) or got[1:] != shape[1:]:
-        raise DataError(f"{reader.path}: record {name} holds {dt} of shape "
-                        f"{got}, expected int64 of shape {shape}")
-    return reader.read(name)
 
 
 def load_dataset(root) -> Dataset:
-    """The dataset ``generate`` wrote under ``root``: the manifest and split
-    are read now and each tracklet's frames on every use, all from one
-    open ``frames.vldt``."""
+    """The dataset ``generate`` wrote under ``root``: the spec is read and
+    every record checked now, each tracklet's frames on every use."""
     reader = checkpoint.Reader(Path(root) / FRAMES_FILE)
-    manifest = _int64_record(reader, "manifest", ("n", 5))
-    num_train = int(_int64_record(reader, "num_train_identities", ()))
-    bad = np.flatnonzero((manifest[:, 2] != 0) & (manifest[:, 2] != 1))
-    if bad.size:
-        raise DataError(f"{reader.path}: manifest row {bad[0]} has modality "
-                        f"code {manifest[bad[0], 2]}, expected 0 (visible) "
-                        f"or 1 (infrared)")
-    rows = [Tracklet(tid, identity, MODALITIES[code], camera, count)
-            for tid, identity, code, camera, count in manifest.tolist()]
-    identities = {row.identity for row in rows}
-    train = sum(identity < num_train for identity in identities)
-    if not 0 < train < len(identities):
-        raise DataError(f"{reader.path}: num_train_identities = {num_train} "
-                        f"puts {train} of the manifest's {len(identities)} "
-                        f"identities in training; each side of the split "
-                        f"needs at least one")
-    return Dataset(reader, rows, num_train)
+    values = {}
+    for name, (dtype, n) in SPEC_RECORDS.items():
+        if name not in reader.records:
+            raise DataError(f"{reader.path} has no {name} record (cut short, "
+                            f"or an older layout); re-run `vld gen-data`")
+        dt, shape, _ = reader.records[name]
+        if dt != dtype or shape != (n,):
+            raise DataError(f"{reader.path}: record {name} holds {dt} of "
+                            f"shape {shape}, expected {np.dtype(dtype)} of "
+                            f"shape ({n},)")
+        values[name] = reader.read(name).tolist()
+    spec = SyntheticSpec(*values["spec_sizes"], *values["spec_amps"])
+    if min(values["spec_sizes"]) < 1:
+        raise DataError(f"{reader.path}: every size must be at least 1 in "
+                        f"{spec}")
+    held = len(reader.records) - len(SPEC_RECORDS)
+    if held != spec.num_identities * 2 * spec.tracklets_per_identity:
+        raise DataError(f"{reader.path} holds {held} tracklet records, not "
+                        f"the number {spec} describes")
+    tracklets = tracklet_table(spec)
+    shape = (spec.frames, spec.image_h, spec.image_w, 3)
+    for t in tracklets:
+        dt, got, _ = reader.records.get(t.record, (None, None, None))
+        if dt != np.uint8 or got != shape:
+            found = "no record" if dt is None else f"{dt} of shape {got}"
+            raise DataError(f"{reader.path}: tracklet {t.tracklet_id} has "
+                            f"{found}, expected uint8 of shape {shape}")
+    return Dataset(reader, spec, tracklets)
 
 
 # -- batch sampling -----------------------------------------------------------

@@ -9,7 +9,7 @@ forms the weighted objective with ``compute_losses`` and takes one Adam
 update over the encoder and the prompt learner together (IMLP's joint
 fine-tuning). ``train`` is a loop over epochs around that step, with
 evaluation and checkpoints; ``vld eval`` builds the same state and loads a
-checkpoint into it.
+checkpoint into it; both refuse data of another spec (``configured_dataset``).
 
 ``stp.enabled`` alone decides whether the hub, its readout and its
 identity head are built; ``imlp.enabled`` whether the prompts are.
@@ -21,13 +21,13 @@ than wall-clock time so identical seeds reproduce identical logs.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint
-from .config import RunConfig
+from .config import RunConfig, write_config
 from .data import (FRAMES_FILE, Dataset, generate, load_dataset, sample_batch,
                    INFRARED, VISIBLE)
 from .errors import ConfigError
@@ -228,16 +228,27 @@ def train(cfg: RunConfig, out_dir, log=None) -> dict:
         return _run(cfg, out_dir, log)
 
 
+def configured_dataset(cfg: RunConfig) -> Dataset:
+    """The dataset at ``data.root``, if generated from the config's spec;
+    the seed is not compared, so runs of several seeds can share it."""
+    dataset = load_dataset(cfg["data.root"])
+    got, want = asdict(dataset.spec), asdict(cfg.synthetic_spec())
+    differ = [f"{key} {got[key]} (config {want[key]})" for key in want
+              if got[key] != want[key]]
+    if differ:
+        raise ConfigError(f"{cfg['data.root']} holds a dataset of another "
+                          f"spec: {', '.join(differ)}; re-run `vld gen-data` "
+                          f"or set data.root")
+    return dataset
+
+
 def _run(cfg: RunConfig, out_dir, log) -> dict:
+    if not (Path(cfg["data.root"]) / FRAMES_FILE).exists():
+        generate(cfg.synthetic_spec(), cfg["train.seed"], cfg["data.root"])
+    dataset = configured_dataset(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    from .config import write_config
     write_config(cfg, out / "resolved.cfg")
-
-    root = Path(cfg["data.root"])
-    if not (root / FRAMES_FILE).exists():
-        generate(cfg.synthetic_spec(), cfg["train.seed"], root)
-    dataset = load_dataset(root)
     state = build_state(cfg, dataset.num_train_identities)
 
     train_tracklets = dataset.train

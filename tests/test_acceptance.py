@@ -341,17 +341,13 @@ def test_criterion_7_ablation_ordering(tmp_path):
 
 
 def test_criterion_8_bitwise_determinism(tmp_path):
-    cfg_text = (DESK_CONFIG_PATH.read_text()
-                + "\ndata.train_identities = 6"
-                + "\ndata.test_identities = 3"
-                + "\ntrain.epochs = 2"
-                + "\ntrain.epoch_passes = 1"
-                + "\ntrain.seed = 1\n")
-    from vld.config import parse_config
     runs = []
     for tag in ("a", "b"):
-        cfg = parse_config(cfg_text)
-        cfg.values["data.root"] = str(tmp_path / "data")
+        cfg = load_config(DESK_CONFIG_PATH)
+        cfg.values.update({"data.train_identities": 6,
+                           "data.test_identities": 3, "train.epochs": 2,
+                           "train.epoch_passes": 1, "train.seed": 1,
+                           "data.root": str(tmp_path / "data")})
         out = tmp_path / f"run_{tag}"
         train(cfg, out)
         runs.append(out)

@@ -123,8 +123,11 @@ def test_smoke_training_reduces_loss(tiny_cfg, tmp_path):
 def test_gen_data_writes_one_file_and_rewrites_the_same_bytes(tmp_path):
     repo = Path(__file__).resolve().parent.parent
     root = tmp_path / "smoke"
+    cfg = tmp_path / "smoke.cfg"
+    cfg.write_text((repo / "configs" / "smoke.cfg").read_text().replace(
+        "data.root = data/smoke", f"data.root = {root}"))
     command = [sys.executable, "-m", "vld.cli", "gen-data", "--config",
-               str(repo / "configs" / "smoke.cfg"), "--root", str(root)]
+               str(cfg)]
     env = {**os.environ, "PYTHONPATH": str(repo / "src")}
     written = []
     for _ in range(2):
@@ -145,6 +148,13 @@ def test_config_error_exit_code(tmp_path):
                  ["eval", "--checkpoint", str(tmp_path / "x.vldt")]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--seed", "3"])
+        assert exc.value.code == 2
+    # data.root is the one spelling of the dataset root.
+    for argv in (["gen-data", "--root", str(tmp_path)],
+                 ["eval", "--checkpoint", str(tmp_path / "x.vldt"),
+                  "--data", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
 
@@ -186,11 +196,42 @@ def test_data_error_exit_code(tiny_cfg, tmp_path):
     main(["gen-data", "--config", str(tiny_cfg)])
     out = tmp_path / "run"
     main(["train", "--config", str(tiny_cfg), "--out", str(out)])
-    code = main(["eval", "--config", str(tiny_cfg),
+    empty = tmp_path / "empty.cfg"
+    empty.write_text(TINY_TEXT + f"data.root = {tmp_path / 'empty'}\n")
+    code = main(["eval", "--config", str(empty),
                  "--checkpoint", str(out / "final.vldt"),
-                 "--data", str(tmp_path / "empty"),
                  "--out", str(tmp_path / "e")])
     assert code == 3
+
+
+@pytest.mark.parametrize("setting, differs", [
+    ("data.test_identities = 3", "num_test_identities 2 (config 3)"),
+    ("data.image_h = 16", "image_h 8 (config 16)"),
+])
+def test_train_and_eval_refuse_a_dataset_of_another_spec(
+        tiny_cfg, tmp_path, capsys, setting, differs):
+    """data.root holds the tiny config's dataset; a config that describes
+    other data stops `vld train` and `vld eval` before either writes a
+    file, naming the field that differs."""
+    main(["gen-data", "--config", str(tiny_cfg)])
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_cfg), "--out", str(run)]) == 0
+    key = setting.partition(" ")[0]
+    other = tmp_path / "other.cfg"
+    other.write_text("".join(
+        setting + "\n" if line.startswith(key + " ") else line + "\n"
+        for line in tiny_cfg.read_text().splitlines()))
+    capsys.readouterr()
+    assert main(["train", "--config", str(other),
+                 "--out", str(tmp_path / "run2")]) == 2
+    assert differs in capsys.readouterr().err
+    assert not (tmp_path / "run2").exists()
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", str(other),
+                 "--checkpoint", str(run / "final.vldt"),
+                 "--out", str(out)]) == 2
+    assert differs in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_profile_writes_reports(tiny_cfg, tmp_path, capsys):

@@ -46,6 +46,13 @@ def test_unknown_key_rejected_with_line():
         parse_config("encoder.dim = 32\nencoder.width = 9\n")
 
 
+def test_repeated_key_rejected_with_both_lines():
+    """A key set twice in one file is an error, not the last value."""
+    with pytest.raises(ConfigError,
+                       match="line 3: train.epochs repeats line 1"):
+        parse_config("train.epochs = 8\n# a comment\ntrain.epochs = 2\n")
+
+
 @pytest.mark.parametrize("line", [
     "train.eval_direction = both",
     "data.noise_visible = 0.03",

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 import reference
-from util import random_frames
+from util import generated, random_frames
 from vld import checkpoint, data
 from vld.cli import main
 from vld.config import load_config, parse_config
-from vld.data import (BatchPlan, Dataset, SyntheticSpec, Tracklet, augment_clip,
-                      generate, load_dataset, sample_batch, INFRARED, VISIBLE)
+from vld.data import (BatchPlan, SyntheticSpec, augment_clip, generate,
+                      load_dataset, sample_batch, tracklet_table, INFRARED,
+                      VISIBLE)
 from vld.encoder import EncoderConfig
 from vld.errors import ConfigError, DataError, ParseError
 from vld.hub import VideoModel
@@ -49,7 +50,7 @@ train.epochs = 1
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("data") / "small"
-    return generate(SMALL, seed=1, root=root)
+    return generated(SMALL, seed=1, root=root)
 
 
 def directory_bytes(root):
@@ -72,22 +73,23 @@ def test_generation_is_byte_deterministic(tmp_path):
 
 
 def test_dataset_root_holds_exactly_one_container(small_dataset):
-    """The tracklets' frames in order, then the manifest (modality 0
-    visible, 1 infrared) and the split."""
+    """The tracklets' frames in order, then the spec's sizes and
+    amplitudes; the tracklet table is identity-major, visible first."""
     path = small_dataset.reader.path
     assert [p.name for p in path.parent.iterdir()] == ["frames.vldt"]
     records = checkpoint.load(path)
     assert list(records) == [f"tr{i:05d}" for i in range(24)] + [
-        "manifest", "num_train_identities"]
-    manifest = records["manifest"]
-    assert manifest.dtype == np.int64 and manifest.shape == (24, 5)
-    np.testing.assert_array_equal(manifest[:, 0], np.arange(24))
-    np.testing.assert_array_equal(manifest[:, 1], np.arange(24) // 4)
-    np.testing.assert_array_equal(manifest[:, 2], np.arange(24) // 2 % 2)
-    np.testing.assert_array_equal(manifest[:, 3], [0, 1, 2, 3] * 6)
-    assert (manifest[:, 4] == 3).all()
-    split = records["num_train_identities"]
-    assert split.dtype == np.int64 and split.shape == () and split == 4
+        "spec_sizes", "spec_amps"]
+    sizes, amps = records["spec_sizes"], records["spec_amps"]
+    assert sizes.dtype == np.int64 and sizes.tolist() == [4, 2, 2, 3, 16, 8]
+    assert amps.dtype == np.float64 and amps.tolist() == [0.2, 0.2, 0.25]
+    tracklets = small_dataset.tracklets
+    assert [t.tracklet_id for t in tracklets] == list(range(24))
+    assert [t.identity for t in tracklets] == [i // 4 for i in range(24)]
+    assert [t.modality for t in tracklets] == [
+        (VISIBLE, INFRARED)[i // 2 % 2] for i in range(24)]
+    assert [f.name for f in dataclasses.fields(tracklets[0])] == [
+        "tracklet_id", "identity", "modality"]
 
 
 # Frame bytes of the configs/desk.cfg dataset at seed 1, concatenated in
@@ -100,7 +102,7 @@ DESK_SEED1_FRAMES_SHA256 = \
 def test_desk_dataset_frames_are_pinned(tmp_path):
     spec = load_config(Path(__file__).parent.parent / "configs" / "desk.cfg") \
         .synthetic_spec()
-    ds = generate(spec, 1, tmp_path / "desk")
+    ds = generated(spec, 1, tmp_path / "desk")
     records = checkpoint.load(ds.reader.path)
     digest = hashlib.sha256()
     for tracklet in ds.tracklets:
@@ -131,13 +133,11 @@ def test_renderer_equals_frame_by_frame_reference(spec, seed):
     latents = data._latents(spec, rng)
     reference_latents = [reference.identity_latent(i, spec, rng)
                          for i in range(spec.num_identities)]
-    tracklets, tags = [], []
-    for identity in range(spec.num_identities):
-        for modality in (VISIBLE, INFRARED):
-            for k in range(spec.tracklets_per_identity):
-                tracklets.append(Tracklet(len(tracklets), identity, modality,
-                                          0, spec.frames))
-                tags.append(f"tr{identity}/{modality}/{k}")
+    tracklets = tracklet_table(spec)
+    tags = [f"tr{identity}/{modality}/{k}"
+            for identity in range(spec.num_identities)
+            for modality in (VISIBLE, INFRARED)
+            for k in range(spec.tracklets_per_identity)]
     for chunk in (1, 3, len(tracklets)):
         fast = [rng.split(tag) for tag in tags]
         got = []
@@ -248,11 +248,11 @@ def test_infrared_is_single_band(small_dataset):
     np.testing.assert_array_equal(frames[..., 0], frames[..., 2])
 
 
-def test_manifest_round_trip(small_dataset):
+def test_spec_round_trip(small_dataset):
     ds = small_dataset
     loaded = load_dataset(ds.reader.path.parent)
-    assert loaded.num_train_identities == 4
-    assert loaded.tracklets == ds.tracklets
+    assert loaded.spec == SMALL and loaded.num_train_identities == 4
+    assert loaded.tracklets == ds.tracklets == tracklet_table(SMALL)
     for tracklet in ds.tracklets:
         assert loaded.load_frames(tracklet).tobytes() == \
             ds.load_frames(tracklet).tobytes()
@@ -284,7 +284,7 @@ def test_regeneration_cut_short_keeps_the_old_container(tmp_path,
     """Killed at the third of six chunks, the regeneration leaves the old
     container byte for byte, no temporary file, and the old dataset."""
     root = tmp_path / "d"
-    old = generate(SMALL, 1, root)
+    old = generated(SMALL, 1, root)
     blob = (root / "frames.vldt").read_bytes()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     # One identity's four tracklets per chunk.
@@ -323,7 +323,8 @@ def test_container_bytes_do_not_depend_on_chunks_or_cpus(tmp_path,
     thread: the container equals the one-chunk, one-CPU container byte
     for byte, and generate leaves no thread behind."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    want = generate(ALTERNATING, 4, tmp_path / "want").reader.path.read_bytes()
+    generate(ALTERNATING, 4, tmp_path / "want")
+    want = (tmp_path / "want" / "frames.vldt").read_bytes()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     monkeypatch.setattr(data, "CHUNK_WORDS", 2 * data._tracklet_words(
         ALTERNATING, VISIBLE) + data._tracklet_words(ALTERNATING, INFRARED))
@@ -337,11 +338,11 @@ def test_container_bytes_do_not_depend_on_chunks_or_cpus(tmp_path,
 
     monkeypatch.setattr(data, "_render_chunk", render)
     before = threading.active_count()
-    got = generate(ALTERNATING, 4, tmp_path / "got")
+    generate(ALTERNATING, 4, tmp_path / "got")
     assert threading.active_count() == before
     assert len(chunks) == 4 and chunks.count({VISIBLE, INFRARED}) >= 3
     assert len(threads) == len(cpus)
-    assert got.reader.path.read_bytes() == want
+    assert (tmp_path / "got" / "frames.vldt").read_bytes() == want
 
 
 def test_helper_thread_error_reaches_the_caller_and_writes_nothing(
@@ -371,8 +372,8 @@ def test_generation_memory_does_not_grow_with_the_tracklets(tmp_path,
                                                             cpus):
     """Four times the desk's tracklets, at its geometry and identities:
     generate's traced peak grows by less than a quarter of the frames
-    added (each tracklet's manifest row, record name and index entry
-    stay), where keeping the frames would grow it by all of them."""
+    added (each tracklet's table row and record name stay), where keeping
+    the frames would grow it by all of them."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     desk = load_config(Path(__file__).parent.parent / "configs" / "desk.cfg") \
         .synthetic_spec()
@@ -381,17 +382,17 @@ def test_generation_memory_does_not_grow_with_the_tracklets(tmp_path,
         spec = dataclasses.replace(desk, tracklets_per_identity=per_identity)
         tracemalloc.start()
         try:
-            ds = generate(spec, 1, tmp_path / str(per_identity))
+            generate(spec, 1, tmp_path / str(per_identity))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        frame_bytes.append(len(ds.tracklets) * spec.frames * spec.image_h
-                           * spec.image_w * 3)
+        frame_bytes.append(len(tracklet_table(spec)) * spec.frames
+                           * spec.image_h * spec.image_w * 3)
     assert frame_bytes[1] - frame_bytes[0] > peaks[0]
     assert peaks[1] - peaks[0] < (frame_bytes[1] - frame_bytes[0]) / 4
 
 
-@pytest.mark.parametrize("record", ["manifest", "num_train_identities"])
+@pytest.mark.parametrize("record", ["spec_sizes", "spec_amps"])
 def test_container_without_a_dataset_record_is_data_error(small_copy, record):
     root = small_copy
     rewrite_records(root, **{record: None})
@@ -400,19 +401,9 @@ def test_container_without_a_dataset_record_is_data_error(small_copy, record):
         load_dataset(root)
 
 
-def test_three_file_root_asks_to_regenerate(small_dataset, small_copy,
-                                            tmp_path):
-    """A root in the earlier layout: frames.vldt holds only the frames,
-    and manifest.tsv and meta.cfg sit beside it. It does not load, and
-    `vld train` exits 3 without regenerating over it."""
-    root = small_copy
-    rewrite_records(root, manifest=None, num_train_identities=None)
-    (root / "manifest.tsv").write_text(
-        "tracklet_id\tidentity\tmodality\tcamera\tframe_count\n" + "".join(
-            f"{t.tracklet_id}\t{t.identity}\t{t.modality}\t{t.camera}"
-            f"\t{t.frame_count}\n" for t in small_dataset.tracklets))
-    (root / "meta.cfg").write_text("num_train_identities = 4\n"
-                                   "num_test_identities = 2\nseed = 1\n")
+def assert_asks_to_regenerate(root, tmp_path):
+    """``root`` does not load, and `vld train` exits 3 without
+    regenerating over it."""
     blob = (root / "frames.vldt").read_bytes()
     with pytest.raises(DataError, match="re-run `vld gen-data`"):
         load_dataset(root)
@@ -420,66 +411,92 @@ def test_three_file_root_asks_to_regenerate(small_dataset, small_copy,
     cfg.write_text(SMALL_RUN_CONFIG + f"data.root = {root}\n")
     assert main(["train", "--config", str(cfg),
                  "--out", str(tmp_path / "run")]) == 3
-    assert not (tmp_path / "run" / "final.vldt").exists()
+    assert not (tmp_path / "run").exists()
     assert (root / "frames.vldt").read_bytes() == blob
 
 
-@pytest.mark.parametrize("manifest, message", [
-    (np.zeros((24, 5)), "float64"),
-    (np.zeros((24, 4), dtype=np.int64), r"\(24, 4\)"),
-    (np.zeros(24, dtype=np.int64), r"\(24,\)"),
-], ids=["float64", "4 fields", "1-d"])
-def test_malformed_manifest_record_is_data_error(small_copy, manifest,
-                                                 message):
+def test_three_file_root_asks_to_regenerate(small_dataset, small_copy,
+                                            tmp_path):
+    """A root in the earliest layout: frames.vldt holds only the frames,
+    and manifest.tsv and meta.cfg sit beside it."""
     root = small_copy
-    rewrite_records(root, manifest=manifest)
-    with pytest.raises(DataError, match=message):
-        load_dataset(root)
+    rewrite_records(root, spec_sizes=None, spec_amps=None)
+    (root / "manifest.tsv").write_text(
+        "tracklet_id\tidentity\tmodality\tcamera\tframe_count\n" + "".join(
+            f"{t.tracklet_id}\t{t.identity}\t{t.modality}"
+            f"\t{t.tracklet_id % 4}\t3\n" for t in small_dataset.tracklets))
+    (root / "meta.cfg").write_text("num_train_identities = 4\n"
+                                   "num_test_identities = 2\nseed = 1\n")
+    assert_asks_to_regenerate(root, tmp_path)
 
 
-@pytest.mark.parametrize("code", [2, -1])
-def test_unknown_modality_code_is_data_error(small_copy, code):
+def test_manifest_container_asks_to_regenerate(small_dataset, small_copy,
+                                               tmp_path):
+    """A root in the layout before the spec records: after the frames,
+    an int64 manifest (tracklet id, identity, modality code, camera,
+    frame count) and the 0-d training identity count."""
     root = small_copy
-    manifest = checkpoint.load(root / "frames.vldt")["manifest"]
-    manifest[5, 2] = code
-    rewrite_records(root, manifest=manifest)
-    with pytest.raises(DataError, match=f"row 5 has modality code {code}"):
+    manifest = [(t.tracklet_id, t.identity, (VISIBLE, INFRARED).index(
+        t.modality), t.tracklet_id % 4, 3) for t in small_dataset.tracklets]
+    rewrite_records(root, spec_sizes=None, spec_amps=None,
+                    manifest=np.array(manifest, dtype=np.int64),
+                    num_train_identities=np.array(4, dtype=np.int64))
+    assert_asks_to_regenerate(root, tmp_path)
+
+
+@pytest.mark.parametrize("record, stored, message", [
+    ("spec_sizes", np.array([4, 2, 2, 3, 16, 8], dtype=np.float64),
+     "float64"),
+    ("spec_sizes", np.array([4, 2, 2, 3, 16], dtype=np.int64), r"\(5,\)"),
+    ("spec_amps", np.array(0.2), r"\(\)"),
+], ids=["float64 sizes", "5 sizes", "0-d amplitudes"])
+def test_malformed_spec_record_is_data_error(small_copy, record, stored,
+                                             message):
+    root = small_copy
+    rewrite_records(root, **{record: stored})
+    with pytest.raises(DataError, match=f"record {record} .*{message}"):
         load_dataset(root)
 
 
 @pytest.mark.parametrize("num_train", [99, 6, 0, -3])
 def test_split_leaving_a_side_empty_is_data_error(small_copy, tmp_path,
                                                   num_train):
-    """SMALL has identities 0-5: each count here puts all of them on one
-    side of the split, through load_dataset and through `vld train`."""
+    """SMALL has identities 0-5 in 24 tracklet records. A spec puts at
+    least one identity on each side of the split, so a training count
+    below 1 is rejected, and one that would put every recorded identity
+    in training (6, 99) describes more tracklets than are recorded; each
+    through load_dataset and through `vld train`."""
     root = small_copy
-    rewrite_records(root, num_train_identities=np.array(num_train,
-                                                        dtype=np.int64))
-    with pytest.raises(DataError, match="num_train_identities"):
+    rewrite_records(root, spec_sizes=np.array([num_train, 2, 2, 3, 16, 8],
+                                              dtype=np.int64))
+    with pytest.raises(DataError, match="every size must be at least 1"
+                                        if num_train < 1 else
+                                        "holds 24 tracklet records, not"):
         load_dataset(root)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_RUN_CONFIG + f"data.root = {root}\n")
     assert main(["train", "--config", str(cfg),
                  "--out", str(tmp_path / "run")]) == 3
-    assert not (tmp_path / "run" / "final.vldt").exists()
+    assert not (tmp_path / "run").exists()
 
 
 def test_non_integer_train_identity_count_is_data_error(small_copy):
-    """The split is one int64: not a float64, not a 1-element vector."""
+    """The spec's sizes are one int64 vector: not float64, not 2-d."""
     root = small_copy
-    for split in (np.array(4.0), np.array([4], dtype=np.int64)):
-        rewrite_records(root, num_train_identities=split)
-        with pytest.raises(DataError, match="num_train_identities"):
+    sizes = np.array([4, 2, 2, 3, 16, 8], dtype=np.int64)
+    for stored in (sizes.astype(np.float64), sizes[None]):
+        rewrite_records(root, spec_sizes=stored)
+        with pytest.raises(DataError, match="spec_sizes"):
             load_dataset(root)
 
 
 def test_cross_modal_correlation_floor(tmp_path):
     """Same-identity visible/infrared pairs correlate above cross-identity
     pairs under raw-pixel cosine after per-modality mean removal."""
-    spec = SyntheticSpec(num_train_identities=8, num_test_identities=0,
+    spec = SyntheticSpec(num_train_identities=7, num_test_identities=1,
                          tracklets_per_identity=2, frames=4,
                          pattern_amp=0.3, occlusion=0.5)
-    ds = generate(spec, seed=3, root=tmp_path / "floor")
+    ds = generated(spec, seed=3, root=tmp_path / "floor")
     flat = {}
     for modality in (VISIBLE, INFRARED):
         stack, keys = [], []
@@ -503,12 +520,8 @@ def test_cross_modal_correlation_floor(tmp_path):
 def test_single_precision_frames_equal_rounded_double_frames(tmp_path):
     """Each of the 256 pixel values decodes in float32 as its float64 value
     rounded to float32, so the model input does not depend on the path."""
-    values = np.arange(256, dtype=np.uint8).reshape(1, 16, 16, 1)
-    tracklet = Tracklet(0, 0, VISIBLE, 0, 1)
-    checkpoint.save(tmp_path / "frames.vldt",
-                    {tracklet.record: np.repeat(values, 3, axis=3)})
-    frames = Dataset(checkpoint.Reader(tmp_path / "frames.vldt"), [tracklet],
-                     1).load_frames(tracklet)[None]
+    values = np.arange(256, dtype=np.uint8).reshape(1, 1, 16, 16, 1)
+    frames = np.repeat(values, 3, axis=4)
     model = VideoModel(EncoderConfig(image_h=16, image_w=16, patch=8,
                                      depth=1, dim=8, heads=2),
                        frames=1, rng=Rng(1), insertion_layer=None)
@@ -566,28 +579,43 @@ def test_reading_every_tracklet_twice_keeps_no_frames(tmp_path):
     assert grown <= frames.nbytes + 16 * 1024
 
 
-def test_tracklet_file_without_frames_record_is_data_error(tmp_path):
-    """A container cut right after its header is well formed but empty."""
-    (tmp_path / "frames.vldt").write_bytes(b"VLDT\x01\x00")
-    tracklet = Tracklet(0, 0, VISIBLE, 0, 1)
-    reader = checkpoint.Reader(tmp_path / "frames.vldt")
-    with pytest.raises(DataError, match="tracklet 0"):
-        Dataset(reader, [tracklet], 1).load_frames(tracklet)
+def test_tracklet_file_without_frames_record_is_data_error(small_copy):
+    """A container cut right after its header is well formed but empty;
+    one with every record but a tracklet's under another name lacks that
+    tracklet's frames."""
+    root = small_copy
+    records = checkpoint.load(root / "frames.vldt")
+    (root / "frames.vldt").write_bytes(b"VLDT\x01\x00")
+    with pytest.raises(DataError, match="no spec_sizes record"):
+        load_dataset(root)
+    records = {("tr99999" if name == "tr00007" else name): arr
+               for name, arr in records.items()}
+    checkpoint.save(root / "frames.vldt", records)
+    with pytest.raises(DataError, match="tracklet 7 has no record"):
+        load_dataset(root)
 
 
 @pytest.mark.parametrize("stored", [
-    np.zeros((2, 4, 4, 3), dtype=np.uint8),    # fewer frames than listed
-    np.zeros((4, 4, 4, 3), dtype=np.uint8),    # more frames than listed
-    np.zeros((3, 4, 4, 3)),                    # float64, not uint8
-    np.zeros((3, 4, 4, 1), dtype=np.uint8),    # one band
-    np.zeros((3, 48), dtype=np.uint8),         # flattened
+    np.zeros((2, 16, 8, 3), dtype=np.uint8),    # fewer frames than the spec
+    np.zeros((4, 16, 8, 3), dtype=np.uint8),    # more frames than the spec
+    np.zeros((3, 16, 8, 3)),                    # float64, not uint8
+    np.zeros((3, 16, 8, 1), dtype=np.uint8),    # one band
+    np.zeros((3, 384), dtype=np.uint8),         # flattened
+    np.zeros((3, 8, 8, 3), dtype=np.uint8),     # another image size
 ])
-def test_malformed_tracklet_record_is_data_error(tmp_path, stored):
-    tracklet = Tracklet(7, 0, VISIBLE, 0, 3)
-    checkpoint.save(tmp_path / "frames.vldt", {tracklet.record: stored})
-    reader = checkpoint.Reader(tmp_path / "frames.vldt")
-    with pytest.raises(DataError, match="tracklet 7"):
-        Dataset(reader, [tracklet], 1).load_frames(tracklet)
+def test_malformed_tracklet_record_is_data_error(small_copy, tmp_path, stored):
+    """Tracklet 20 tests (identity 5 of SMALL): a record that is not uint8
+    of the spec's shape stops load_dataset, and `vld train` before it
+    writes any run file."""
+    root = small_copy
+    rewrite_records(root, tr00020=stored)
+    with pytest.raises(DataError, match="tracklet 20"):
+        load_dataset(root)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN_CONFIG + f"data.root = {root}\n")
+    assert main(["train", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_frames_container_is_data_error(tmp_path):
@@ -596,20 +624,21 @@ def test_missing_frames_container_is_data_error(tmp_path):
         load_dataset(tmp_path / "d")
 
 
-def _three_tracklet_container(root):
-    """A dataset container of three 2-frame tracklets (identity 0 trains,
-    identity 1 tests), its bytes, and the byte positions of every header
-    field of its five records."""
-    tracklets = [Tracklet(i, i // 2, (VISIBLE, INFRARED)[i % 2], 0, 2)
-                 for i in range(3)]
-    frames = (Rng(3).uniform((3, 2, 4, 2, 3)) * 255).astype(np.uint8)
-    manifest = [(t.tracklet_id, t.identity, data.MODALITIES.index(t.modality),
-                 t.camera, t.frame_count) for t in tracklets]
-    records = {**{t.record: f for t, f in zip(tracklets, frames)},
-               "manifest": np.array(manifest, dtype=np.int64),
-               "num_train_identities": np.array(1, dtype=np.int64)}
-    checkpoint.save(root / "frames.vldt", records)
+# The smallest spec: one training and one test identity, one tracklet of
+# each modality apiece.
+TINIEST = SyntheticSpec(num_train_identities=1, num_test_identities=1,
+                        tracklets_per_identity=1, frames=2, image_h=4,
+                        image_w=2)
+
+
+def _four_tracklet_container(root):
+    """TINIEST's container, its bytes, and the byte positions of every
+    header field of its six records."""
+    generate(TINIEST, 3, root)
     blob = (root / "frames.vldt").read_bytes()
+    records = checkpoint.load(root / "frames.vldt")
+    assert list(records) == [f"tr{i:05d}" for i in range(4)] + [
+        "spec_sizes", "spec_amps"]
     header, offset = list(range(6)), 6   # magic, version
     for name, arr in records.items():
         # name length u16, name, dtype code u8, ndim u8, extents u32 each
@@ -627,10 +656,10 @@ def _load_every_tracklet(root):
 
 
 def test_every_prefix_of_the_frames_container_is_rejected(tmp_path):
-    """Every prefix lacks at least the split, the last record."""
+    """Every prefix lacks at least the spec's amplitudes, the last
+    record."""
     root = tmp_path / "d"
-    root.mkdir()
-    blob, _ = _three_tracklet_container(root)
+    blob, _ = _four_tracklet_container(root)
     _load_every_tracklet(root)
     for n in range(len(blob)):
         (root / "frames.vldt").write_bytes(blob[:n])
@@ -640,8 +669,7 @@ def test_every_prefix_of_the_frames_container_is_rejected(tmp_path):
 
 def test_every_frames_header_byte_set_to_ff_is_rejected(tmp_path):
     root = tmp_path / "d"
-    root.mkdir()
-    blob, header = _three_tracklet_container(root)
+    blob, header = _four_tracklet_container(root)
     for pos in header:
         corrupt = bytearray(blob)
         corrupt[pos] = 0xFF
@@ -726,10 +754,10 @@ def test_augment_clip_is_frame_consistent():
 
 
 def test_paper_batch_composition(tmp_path):
-    spec = SyntheticSpec(num_train_identities=6, num_test_identities=0,
+    spec = SyntheticSpec(num_train_identities=5, num_test_identities=1,
                          tracklets_per_identity=4, frames=2, image_h=16,
                          image_w=8)
-    ds = generate(spec, seed=5, root=tmp_path / "plan")
+    ds = generated(spec, seed=5, root=tmp_path / "plan")
     plan = BatchPlan(identities=4, tracklets_per_identity=4)
     batch = sample_batch(plan, ds, ds.train, Rng(12), apply_augment=False)
     assert len(batch.labels) == 32

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from reference import brute_force_eval
+from util import generated
 from vld.errors import DataError
 from vld.retrieval import GalleryIndex, evaluate, save_report
 from vld.rng import Rng
@@ -179,11 +180,10 @@ stp.insertion_layer = 0
 def extract_problem(root):
     """(dataset, model with a hub) at the smallest extraction size."""
     from vld.config import parse_config
-    from vld.data import generate
     from vld.train import build_model
 
     cfg = parse_config(EXTRACT_CFG)
-    dataset = generate(cfg.synthetic_spec(), 1, root)
+    dataset = generated(cfg.synthetic_spec(), 1, root)
     return dataset, build_model(cfg, Rng(1).split("init"))
 
 
@@ -376,12 +376,12 @@ def test_float32_model_ranks_in_float64(tmp_path):
     normalised, so ranking equals the brute-force oracle exactly; ranked in
     float32, matrix and per-query products round near-ties apart."""
     from vld.config import parse_config
-    from vld.data import INFRARED, VISIBLE, generate
+    from vld.data import INFRARED, VISIBLE
     from vld.retrieval import extract_features
     from vld.train import build_model, configured_precision
 
     cfg = parse_config(RANK_CFG)
-    dataset = generate(cfg.synthetic_spec(), 1, tmp_path / "d")
+    dataset = generated(cfg.synthetic_spec(), 1, tmp_path / "d")
     with configured_precision(cfg):
         model = build_model(cfg, Rng(1).split("init"))
         indexes = [extract_features(model, dataset,

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from util import generated
 from vld import checkpoint, tensor
 from vld import train as train_module
 from vld.config import parse_config
-from vld.data import generate
 from vld.errors import ConfigError
 from vld.train import (build_state, checkpoint_records, compute_losses,
                        load_into, train, train_step)
@@ -136,7 +136,7 @@ def test_checkpoint_shape_mismatch_is_load_error(tmp_path):
 def test_baseline_ablation_flags_drop_branches(tmp_path):
     cfg = tiny_config(tmp_path / "data", **{"stp.enabled": False,
                                             "imlp.enabled": False})
-    dataset = generate(cfg.synthetic_spec(), 1, tmp_path / "data2")
+    dataset = generated(cfg.synthetic_spec(), 1, tmp_path / "data2")
     state = build_state(cfg, dataset.num_train_identities)
     model, heads = state.model, state.heads
     assert model.hub is None and heads.prompts is None
@@ -163,7 +163,7 @@ def test_prompt_group_gets_lr_multiplier(tmp_path):
 
 def test_frozen_text_encoder_stays_frozen_through_a_step(tmp_path):
     cfg = tiny_config(tmp_path / "data")
-    dataset = generate(cfg.synthetic_spec(), 1, tmp_path / "data3")
+    dataset = generated(cfg.synthetic_spec(), 1, tmp_path / "data3")
     state = build_state(cfg, dataset.num_train_identities)
     model, heads = state.model, state.heads
     frozen_before = {

@@ -3,6 +3,7 @@
 import numpy as np
 
 from vld.config import parse_config
+from vld.data import generate, load_dataset
 from vld.rng import Rng
 from vld.train import build_state, compute_losses
 
@@ -26,6 +27,15 @@ stp.insertion_layer = 0
 def random_frames(seed: int, shape) -> np.ndarray:
     """Stored-form frames: uint8 pixels drawn uniformly."""
     return np.round(Rng(seed).uniform(shape) * 255.0).astype(np.uint8)
+
+
+def generated(spec, seed: int, root):
+    """The dataset ``generate`` writes under ``root``, loaded back; it
+    records the spec it was generated from."""
+    generate(spec, seed, root)
+    dataset = load_dataset(root)
+    assert dataset.spec == spec
+    return dataset
 
 
 def tiny_e2e_problem(seed: int = 1):
